@@ -18,7 +18,6 @@ with plain orthonormal Y_LM factors and the head resums in reciprocal space.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,14 +27,14 @@ from scipy.special import wofz
 from . import specfun as sf
 from . import vswf
 from .errors import ConvergenceError, InvalidArgumentError
-from .mie import Material, branch_sqrt
+from .mie import Material, branch_sqrt_array
 
 _I_POW = (1.0, 1.0j, -1.0, -1.0j)  # i^M exactly, index M % 4
 
 
-def _cerfc(z: complex) -> complex:
-    """erfc for complex argument via the Faddeeva function."""
-    z = complex(z)
+def _cerfc(z):
+    """erfc for complex argument(s) via the Faddeeva function."""
+    z = np.asarray(z, dtype=complex)
     return np.exp(-z * z) * wofz(1j * z)
 
 
@@ -82,15 +81,22 @@ def fold_to_zone(lat: Lattice2D, kpar) -> tuple[np.ndarray, tuple[int, int]]:
     bmat = np.column_stack([b1, b2])
     frac = np.linalg.solve(bmat, kpar)
     n0 = -np.round(frac).astype(int)
-    best = None
-    for d1 in range(-2, 3):
-        for d2 in range(-2, 3):
-            n1, n2 = n0[0] + d1, n0[1] + d2
-            v = kpar + n1 * b1 + n2 * b2
-            key = (round(float(v @ v), 12), n1, n2)
-            if best is None or key < best[0]:
-                best = (key, v, (int(n1), int(n2)))
-    return best[1], best[2]
+    d = np.arange(-2, 3)
+    n1 = n0[0] + np.repeat(d, 5)
+    n2 = n0[1] + np.tile(d, 5)
+    v = kpar + n1[:, None] * b1 + n2[:, None] * b2
+    best = _sorted_by_norm(beam_kt2(v), n1, n2)[0]
+    return v[best], (int(n1[best]), int(n2[best]))
+
+
+def beam_kt2(kt: np.ndarray) -> np.ndarray:
+    """Squared norm of each row of an (n, 2) array, rounded as ``v @ v``."""
+    return (kt[:, None, :] @ kt[:, :, None])[:, 0, 0]
+
+
+def _sorted_by_norm(kt2: np.ndarray, n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
+    """Order of the entries by the key (round(kt2, 12), n1, n2)."""
+    return np.lexsort((n2, n1, [round(float(x), 12) for x in kt2]))
 
 
 @dataclass(frozen=True)
@@ -133,19 +139,17 @@ def beam_set(lat: Lattice2D, omega: float, kpar, ambient: Material, cutoff: floa
     # generous integer search box, then filter by the circle
     bmin = min(np.linalg.norm(b1), np.linalg.norm(b2))
     nbox = int(math.ceil((cutoff + math.hypot(*kf)) / bmin * 2.0)) + 2
-    entries = []
-    for n1 in range(-nbox, nbox + 1):
-        for n2 in range(-nbox, nbox + 1):
-            g = n1 * b1 + n2 * b2
-            kt = kf + g
-            kt2 = float(kt @ kt)
-            if kt2 <= cutoff * cutoff + 1e-12:
-                entries.append((round(kt2, 12), n1, n2, g, kt))
-    entries.sort(key=lambda e: e[:3])
-    g_ints = tuple((e[1], e[2]) for e in entries)
-    g = np.array([e[3] for e in entries])
-    kt = np.array([e[4] for e in entries])
-    kz = np.array([branch_sqrt(k2 - float(v @ v)) for v in kt])
+    box = np.arange(-nbox, nbox + 1)
+    n1, n2 = (n.ravel() for n in np.meshgrid(box, box, indexing="ij"))
+    g = n1[:, None] * b1 + n2[:, None] * b2
+    kt = kf + g
+    kt2 = beam_kt2(kt)
+    keep = np.flatnonzero(kt2 <= cutoff * cutoff + 1e-12)
+    keep = keep[_sorted_by_norm(kt2[keep], n1[keep], n2[keep])]
+    g_ints = tuple((int(i), int(j)) for i, j in zip(n1[keep], n2[keep]))
+    g = g[keep]
+    kt = kt[keep]
+    kz = branch_sqrt_array(k2 - kt2[keep])
     prop = kz.imag == 0.0
     return BeamSet(
         omega=omega,
@@ -161,51 +165,53 @@ def beam_set(lat: Lattice2D, omega: float, kpar, ambient: Material, cutoff: floa
     )
 
 
-def _inc_gamma_half(nmax: int, x: complex, sqrt_x: complex) -> np.ndarray:
-    """Gamma(1/2 - n, x) for n = 0..nmax, seeded by erfc, recurred downward."""
-    out = np.zeros(nmax + 1, dtype=complex)
-    out[0] = math.sqrt(math.pi) * _cerfc(sqrt_x)
-    ex = np.exp(-x)
+def _inc_gamma_half(nmax: int, x, sqrt_x) -> np.ndarray:
+    """Gamma(1/2 - n, x) for n = 0..nmax, seeded by erfc, recurred downward.
+
+    x and sqrt_x may be arrays; the result has shape x.shape + (nmax + 1,).
+    """
+    sqrt_x = np.asarray(sqrt_x, dtype=complex)
+    out = np.zeros(sqrt_x.shape + (nmax + 1,), dtype=complex)
+    out[..., 0] = math.sqrt(math.pi) * _cerfc(sqrt_x)
+    ex = np.exp(-np.asarray(x))
     for n in range(1, nmax + 1):
         s = 0.5 - (n - 1)
-        out[n] = (out[n - 1] - sqrt_x ** (2 * (s - 1)) * ex) / (s - 1)
+        out[..., n] = (out[..., n - 1] - sqrt_x ** (2 * (s - 1)) * ex) / (s - 1)
     return out
 
 
-def _tail_integrals(lmax: int, r: float, k: complex, eta: float) -> np.ndarray:
+def _tail_integrals(lmax: int, r, k: complex, eta: float) -> np.ndarray:
     """I_L(r) = int_eta^inf u^{2L} exp(-r^2 u^2 + k^2/(4u^2)) du, L = 0..lmax.
 
     Closed-form seeds in erfc, then the exact three-term recursion from
-    integrating d/du [u^{2L-1} exp(...)] over (eta, inf).
+    integrating d/du [u^{2L-1} exp(...)] over (eta, inf).  r may be an
+    array; the result has shape r.shape + (lmax + 1,).
     """
+    r = np.asarray(r, dtype=float)
     a = r * eta + 1j * k / (2 * eta)
     b = r * eta - 1j * k / (2 * eta)
     ep = np.exp(1j * k * r) * _cerfc(a)
     em = np.exp(-1j * k * r) * _cerfc(b)
     prev2 = 1j * math.sqrt(math.pi) / (2 * k) * (ep - em)   # I_{-1}
     prev1 = math.sqrt(math.pi) / (4 * r) * (ep + em)        # I_0
-    out = np.zeros(lmax + 1, dtype=complex)
-    out[0] = prev1
+    out = np.zeros(r.shape + (lmax + 1,), dtype=complex)
+    out[..., 0] = prev1
     boundary = np.exp(-r * r * eta * eta + k * k / (4 * eta * eta))
+    den = 2 * r * r
     for L in range(1, lmax + 1):
-        cur = ((2 * L - 1) * prev1 + eta ** (2 * L - 1) * boundary - (k * k / 2) * prev2) / (
-            2 * r * r
-        )
-        out[L] = cur
+        cur = ((2 * L - 1) * prev1 + eta ** (2 * L - 1) * boundary - (k * k / 2) * prev2) / den
+        out[..., L] = cur
         prev2, prev1 = prev1, cur
     return out
 
 
-def _shell(s: int):
-    """Integer pairs with max(|n1|, |n2|) == s."""
-    if s == 0:
-        return [(0, 0)]
-    out = []
-    for n1 in range(-s, s + 1):
-        for n2 in range(-s, s + 1):
-            if max(abs(n1), abs(n2)) == s:
-                out.append((n1, n2))
-    return out
+@lru_cache(maxsize=256)
+def _shell(s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integer pairs (n1, n2) with max(|n1|, |n2|) == s, lexicographic order."""
+    r = np.arange(-s, s + 1)
+    n1, n2 = np.meshgrid(r, r, indexing="ij")
+    on = np.maximum(abs(n1), abs(n2)) == s
+    return n1[on], n2[on]
 
 
 @lru_cache(maxsize=32)
@@ -217,33 +223,46 @@ def _lm_pairs(pmax: int):
 def _pair_tables(pmax: int):
     """Vectorization tables over the (L, M) pair list.
 
-    Returns (Lidx, Midx, cmat, ktexp) where for pair i and Gaussian-integral
-    order n the reciprocal-space inner sum is
-    sum_n gtab[n] gpow[n] kt^(L-2n) cmat[i, n]; ktexp holds the exponents
-    (clamped to 0 where cmat is 0).
+    Returns (Lidx, Midx, terms, norm, yvec0).  The reciprocal-space inner
+    sum of pair i is sum_n coef * gtab[n] gpow[n] kt^(L-2n) over its nonzero
+    terms n = 0..(L-|M|)/2; ``terms`` = (start, n, power, coef) lists them
+    flat, pair by pair, with start[i] the first term of pair i.
+    norm[i] = i^M sqrt((2L+1)(L-M)!(L+M)!) is the k-independent part of the
+    reciprocal-space prefactor, and yvec0 holds Y_LM at the in-plane
+    direction phi = 0.
     """
     pairs = _lm_pairs(pmax)
     f = math.factorial
-    nmax = pmax // 2
+    start, n_of, power, coef = [], [], [], []
+    for L, M in pairs:
+        start.append(len(n_of))
+        for n in range((L - abs(M)) // 2 + 1):
+            n_of.append(n)
+            power.append(L - 2 * n)
+            coef.append(1.0 / (f(n) * f((L + M) // 2 - n) * f((L - M) // 2 - n)))
+    terms = (np.array(start), np.array(n_of), np.array(power), np.array(coef))
     lidx = np.array([L for L, _ in pairs])
     midx = np.array([M for _, M in pairs])
-    cmat = np.zeros((len(pairs), nmax + 1))
-    ktexp = np.zeros((len(pairs), nmax + 1), dtype=int)
-    for i, (L, M) in enumerate(pairs):
-        for n in range((L - abs(M)) // 2 + 1):
-            cmat[i, n] = 1.0 / (f(n) * f((L + M) // 2 - n) * f((L - M) // 2 - n))
-            ktexp[i, n] = L - 2 * n
-    return lidx, midx, cmat, ktexp
+    norm = np.array([_I_POW[M % 4] * math.sqrt((2 * L + 1) * f(L - M) * f(L + M)) for L, M in pairs])
+    yvec0 = sf.ylm_table(pmax, 0.0, 1.0, 0.0)[lidx, midx + pmax]
+    return lidx, midx, terms, norm, yvec0
 
 
-def _table_norm(tab: dict) -> float:
-    return max((abs(v) for v in tab.values()), default=0.0)
+def _azimuth_phases(phi: np.ndarray, midx: np.ndarray, pmax: int) -> np.ndarray:
+    """exp(i M phi) for every point and pair, shape (len(phi), len(midx))."""
+    e = np.exp(1j * np.arange(pmax + 1) * phi[:, None])
+    return np.concatenate([e[:, :0:-1].conj(), e], axis=1)[:, midx + pmax]
 
 
 def lattice_sums_ewald(
     lat: Lattice2D, k: complex, kpar, pmax: int, eta: float | None = None, tol: float = 1e-12
 ) -> dict:
-    """Ewald-accelerated S_{p,sigma} for all p <= pmax, sigma with p+sigma even."""
+    """Ewald-accelerated S_{p,sigma} for all p <= pmax, sigma with p+sigma even.
+
+    Both sums run over square shells max(|n1|, |n2|) = s, one array step per
+    shell, and stop after two consecutive shells whose largest term is below
+    tol relative to the running sum.
+    """
     kpar = np.asarray(kpar, dtype=float)
     area = lat.area
     if eta is None:
@@ -252,41 +271,35 @@ def lattice_sums_ewald(
     a1 = np.array(lat.a1)
     a2 = np.array(lat.a2)
     pairs = _lm_pairs(pmax)
-    f = math.factorial
-    lidx, midx, cmat, ktexp = _pair_tables(pmax)
-    pref1 = np.array(
-        [
-            _I_POW[M % 4]
-            * math.sqrt((2 * L + 1) * f(L - M) * f(L + M))
-            / (area * k * (-2 * k) ** L)
-            for L, M in pairs
-        ]
-    )
+    lidx, midx, (start, n_of, power, coef), pair_norm, yvec0 = _pair_tables(pmax)
+    pref1 = pair_norm / (area * k * (-2 * k) ** lidx)
     vec = np.zeros(len(pairs), dtype=complex)
 
     # reciprocal-space part
     nmax = pmax // 2
+    gexp = 2 * np.arange(nmax + 1) - 1
     quiet = 0
     norm = 0.0
     for s in range(0, 200):
-        ring = 0.0
-        for n1, n2 in _shell(s):
-            kg = kpar + n1 * b1 + n2 * b2
-            kt = math.hypot(kg[0], kg[1])
-            phig = math.atan2(kg[1], kg[0])
-            gam = branch_sqrt(k * k - kt * kt)
-            if abs(gam) < 1e-10 * abs(k):
-                raise ConvergenceError(
-                    "grazing diffraction order (Wood anomaly) in Ewald sum",
-                    {"k": k, "kpar": tuple(kpar), "g": (n1, n2)},
-                )
-            gtab = _inc_gamma_half(nmax, -gam * gam / (4 * eta * eta), -1j * gam / (2 * eta))
-            gpow = gam ** (2 * np.arange(nmax + 1) - 1)
-            ktpow = kt ** np.arange(pmax + 1)
-            inner = (cmat * (gtab * gpow)[None, :] * ktpow[ktexp]).sum(axis=1)
-            terms = pref1 * np.exp(1j * midx * phig) * inner
-            vec += terms
-            ring = max(ring, float(np.max(np.abs(terms))))
+        n1, n2 = _shell(s)
+        kg = kpar + n1[:, None] * b1 + n2[:, None] * b2
+        kt = np.hypot(kg[:, 0], kg[:, 1])
+        phig = np.arctan2(kg[:, 1], kg[:, 0])
+        gam = branch_sqrt_array(k * k - kt * kt)
+        grazing = np.flatnonzero(np.abs(gam) < 1e-10 * abs(k))
+        if grazing.size:
+            i = grazing[0]
+            raise ConvergenceError(
+                "grazing diffraction order (Wood anomaly) in Ewald sum",
+                {"k": k, "kpar": tuple(kpar), "g": (int(n1[i]), int(n2[i]))},
+            )
+        gtab = _inc_gamma_half(nmax, -gam * gam / (4 * eta * eta), -1j * gam / (2 * eta))
+        gpow = gam[:, None] ** gexp
+        ktpow = kt[:, None] ** np.arange(pmax + 1)
+        inner = np.add.reduceat(coef * (gtab * gpow)[:, n_of] * ktpow[:, power], start, axis=1)
+        terms = pref1 * _azimuth_phases(phig, midx, pmax) * inner
+        vec += terms.sum(axis=0)
+        ring = float(np.max(np.abs(terms)))
         norm = max(norm, float(np.max(np.abs(vec))))
         if s > 0 and ring < tol * max(1.0, norm):
             quiet += 1
@@ -302,21 +315,20 @@ def lattice_sums_ewald(
 
     # real-space part
     pref2 = -2j / (k * math.sqrt(math.pi))
-    ylm0 = sf.ylm_table(pmax, 0.0, 1.0, 0.0)
-    yvec0 = ylm0[lidx, midx + pmax]
     quiet = 0
     for s in range(1, 200):
-        ring = 0.0
-        for n1, n2 in _shell(s):
-            rv = n1 * a1 + n2 * a2
-            r = math.hypot(rv[0], rv[1])
-            phi = math.atan2(rv[1], rv[0])
-            itab = _tail_integrals(pmax, r, k, eta)
-            bloch = np.exp(1j * (kpar[0] * rv[0] + kpar[1] * rv[1]))
-            rpow = (2 * r / k) ** np.arange(pmax + 1)
-            terms = pref2 * bloch * rpow[lidx] * yvec0 * np.exp(1j * midx * phi) * itab[lidx]
-            vec += terms
-            ring = max(ring, float(np.max(np.abs(terms))))
+        n1, n2 = _shell(s)
+        rv = n1[:, None] * a1 + n2[:, None] * a2
+        r = np.hypot(rv[:, 0], rv[:, 1])
+        phi = np.arctan2(rv[:, 1], rv[:, 0])
+        itab = _tail_integrals(pmax, r, k, eta)
+        bloch = np.exp(1j * (kpar[0] * rv[:, 0] + kpar[1] * rv[:, 1]))
+        rpow = (2 * r[:, None] / k) ** np.arange(pmax + 1)
+        terms = (pref2 * bloch[:, None] * rpow * itab)[:, lidx] * yvec0 * _azimuth_phases(
+            phi, midx, pmax
+        )
+        vec += terms.sum(axis=0)
+        ring = float(np.max(np.abs(terms)))
         norm = max(norm, float(np.max(np.abs(vec))))
         if ring < tol * max(1.0, norm):
             quiet += 1
@@ -381,10 +393,6 @@ class StructureConstants:
     s_table: dict
 
 
-_sc_cache: dict = {}
-_sc_lock = threading.Lock()
-
-
 def structure_constants(
     lat: Lattice2D,
     omega: float,
@@ -394,35 +402,35 @@ def structure_constants(
     eta: float | None = None,
     method: str = "ewald",
 ) -> StructureConstants:
-    """Structure constants Omega for a plane of scatterers (memoized)."""
+    """Structure constants Omega for a plane of scatterers.
+
+    The last few results are kept (keyed on the folded kpar), so repeated
+    calls at one (omega, kpar) share a single StructureConstants.
+    """
     if omega <= 0:
         raise InvalidArgumentError(f"omega must be > 0, got {omega}")
     if lmax < 1:
         raise InvalidArgumentError(f"lmax must be >= 1, got {lmax}")
+    if method not in ("ewald", "direct"):
+        raise InvalidArgumentError(f"unknown method {method!r}")
     kf, _ = fold_to_zone(lat, kpar)
-    key = (lat.a1, lat.a2, float(omega), round(float(kf[0]), 12), round(float(kf[1]), 12),
-           complex(host.eps), lmax, eta, method)
-    with _sc_lock:
-        hit = _sc_cache.get(key)
-    if hit is not None:
-        return hit
+    return _structure_constants(
+        lat, float(omega), float(kf[0]), float(kf[1]), host, lmax, eta, method
+    )
+
+
+@lru_cache(maxsize=4)
+def _structure_constants(
+    lat: Lattice2D, omega: float, kx: float, ky: float, host: Material, lmax: int,
+    eta: float | None, method: str,
+) -> StructureConstants:
     k = host.wavenumber(omega)
     pmax = 2 * lmax + 2
     if method == "ewald":
-        s_table = lattice_sums_ewald(lat, k, kf, pmax, eta=eta)
-    elif method == "direct":
-        s_table = lattice_sums_direct(lat, k, kf, pmax)
+        s_table = lattice_sums_ewald(lat, k, (kx, ky), pmax, eta=eta)
     else:
-        raise InvalidArgumentError(f"unknown method {method!r}")
+        s_table = lattice_sums_direct(lat, k, (kx, ky), pmax)
     w = vswf.translation_matrix(lmax, s_table)
-    out = StructureConstants(
-        omega=float(omega),
-        kpar=(float(kf[0]), float(kf[1])),
-        lmax=lmax,
-        host=host,
-        omega_mat=w,
-        s_table=s_table,
+    return StructureConstants(
+        omega=omega, kpar=(kx, ky), lmax=lmax, host=host, omega_mat=w, s_table=s_table
     )
-    with _sc_lock:
-        _sc_cache[key] = out
-    return out

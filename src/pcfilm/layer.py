@@ -15,12 +15,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from . import vswf
 from .errors import InvalidArgumentError, SingularSolveError
-from .lattice import BeamSet, Lattice2D, StructureConstants
-from .mie import Material, SphereScatterer, branch_sqrt, mie_t
+from .lattice import BeamSet, Lattice2D, StructureConstants, beam_kt2
+from .mie import Material, SphereScatterer, branch_sqrt, branch_sqrt_array, mie_t
 
+# Largest accepted condition number of a dense solve.  What is checked is
+# LAPACK's estimate of the 1-norm condition number (zgecon; Higham, ACM TOMS
+# 14, 381 (1988)), which lies within a factor n of the 2-norm value.
 COND_REPORT_LIMIT = 1e10
 
 
@@ -87,33 +91,42 @@ def identity_smatrix(beams: BeamSet, mat: Material | None = None) -> LayerS:
 def beam_kz(beams: BeamSet, mat: Material) -> np.ndarray:
     """kz of every beam in a (possibly different) homogeneous medium."""
     k2 = mat.eps * beams.omega**2
-    return np.array([branch_sqrt(k2 - float(v @ v)) for v in beams.kt])
+    return branch_sqrt_array(k2 - beam_kt2(beams.kt))
 
 
-def _pol_vectors(kt: np.ndarray, kz: complex, k: complex, sign: int):
-    """(s_hat, p_hat) for the beam travelling toward sign*z.
+def _pol_vectors(kt: np.ndarray, kz: np.ndarray, k: complex, sign: int) -> np.ndarray:
+    """(s_hat, p_hat) of every beam travelling toward sign*z, shape (n, 2, 3).
 
     Bilinear-orthonormal (no conjugation), so coefficients of a transverse
     field are plain dot products even for evanescent beams.
     """
-    ktn = math.hypot(kt[0], kt[1])
-    if ktn < 1e-12:
-        cphi, sphi = 1.0, 0.0
-    else:
-        cphi, sphi = kt[0] / ktn, kt[1] / ktn
-    s_hat = np.array([-sphi, cphi, 0.0], dtype=complex)
-    p_hat = np.array([sign * kz * cphi, sign * kz * sphi, -ktn], dtype=complex) / k
-    return s_hat, p_hat
+    ktn = np.hypot(kt[:, 0], kt[:, 1])
+    oblique = ktn >= 1e-12  # normal incidence: plane of incidence at azimuth 0
+    cphi = np.divide(kt[:, 0], ktn, out=np.ones_like(ktn), where=oblique)
+    sphi = np.divide(kt[:, 1], ktn, out=np.zeros_like(ktn), where=oblique)
+    vec = np.zeros((kt.shape[0], 2, 3), dtype=complex)
+    vec[:, 0, 0] = -sphi
+    vec[:, 0, 1] = cphi
+    vec[:, 1, 0] = sign * kz * cphi / k
+    vec[:, 1, 1] = sign * kz * sphi / k
+    vec[:, 1, 2] = -ktn / k
+    return vec
 
 
 def _solve_reported(a: np.ndarray, b: np.ndarray, context: str) -> np.ndarray:
-    try:
-        x = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSolveError(f"singular solve in {context}", condition=np.inf) from exc
+    """Solve a x = b by one LU factorization, and report ill-conditioning.
+
+    The condition estimate reuses the LU factors; it is checked against
+    COND_REPORT_LIMIT.
+    """
+    lu, piv, info = lapack.zgetrf(a)
+    if info > 0:
+        raise SingularSolveError(f"singular solve in {context}", condition=np.inf)
+    x, _ = lapack.zgetrs(lu, piv, b)
     if not np.all(np.isfinite(x)):
         raise SingularSolveError(f"non-finite solve result in {context}", condition=np.inf)
-    cond = np.linalg.cond(a)
+    rcond, _ = lapack.zgecon(lu, np.abs(a).sum(axis=0).max())
+    cond = 1.0 / rcond if rcond > 0 else np.inf
     if cond > COND_REPORT_LIMIT:
         raise SingularSolveError(
             f"ill-conditioned solve in {context}: cond = {cond:.3e}", condition=cond
@@ -140,57 +153,20 @@ def sphere_plane_smatrix(
     k = host.wavenumber(omega)
     nv = vswf.nlm(lmax)
     t_e, t_m = mie_t(plane.scatterer, omega, lmax)
-    tdiag = np.zeros(2 * nv, dtype=complex)
-    for l, m in vswf.lm_list(lmax):
-        tdiag[vswf.lm_index(l, m)] = t_m[l - 1]
-        tdiag[vswf.lm_index(l, m) + nv] = t_e[l - 1]
+    lidx = np.array([l for l, _ in vswf.lm_list(lmax)])
+    tdiag = np.concatenate([t_m[lidx - 1], t_e[lidx - 1]])
     scatter = _solve_reported(
         np.eye(2 * nv) - tdiag[:, None] * sc.omega_mat,
         np.diag(tdiag),
         "sphere-plane self-consistency (I - T Omega)",
     )
 
-    n = beams.n_beams
-    kz = beams.kz
-    area = plane.lattice.area
-    off = np.asarray(plane.offset, dtype=float)
-    sqrt_kz = np.array([branch_sqrt(z) for z in kz])
-
-    # incident-expansion columns (2 nlm x 2n) for downward(+z) and upward(-z)
-    a_plus = np.zeros((2 * nv, 2 * n), dtype=complex)
-    a_minus = np.zeros((2 * nv, 2 * n), dtype=complex)
-    # conversion rows (2n x 2 nlm) for outgoing up(+z) and down(-z)
-    c_up = np.zeros((2 * n, 2 * nv), dtype=complex)
-    c_down = np.zeros((2 * n, 2 * nv), dtype=complex)
-
-    lam_max = lmax + 1
-    out_t = vswf.out_tensor(lmax)
-    for j in range(n):
-        kt = beams.kt[j]
-        ktn = math.hypot(kt[0], kt[1])
-        phi = math.atan2(kt[1], kt[0]) if ktn > 1e-12 else 0.0
-        st = ktn / k
-        bloch = np.exp(1j * (kt[0] * off[0] + kt[1] * off[1]))
-        for sign, a_cols in ((+1, a_plus), (-1, a_minus)):
-            ct = sign * kz[j] / k
-            s_hat, p_hat = _pol_vectors(kt, kz[j], k, sign)
-            for ipol, evec in ((0, s_hat), (1, p_hat)):
-                aM, aE = vswf.plane_wave_coeffs(lmax, ct, st, phi, evec)
-                a_cols[:nv, 2 * j + ipol] = aM * bloch / sqrt_kz[j]
-                a_cols[nv:, 2 * j + ipol] = aE * bloch / sqrt_kz[j]
-        c_pref = 2.0 * math.pi / (area * k * kz[j])
-        for sign, c_rows in ((+1, c_up), (-1, c_down)):
-            ct = sign * kz[j] / k
-            yflat = vswf.ylm_flat(lam_max, ct, st, phi)
-            s_hat, p_hat = _pol_vectors(kt, kz[j], k, sign)
-            scale = sqrt_kz[j] / bloch
-            amp = out_t @ yflat  # cartesian amplitude per multipole channel
-            c_rows[2 * j + 0, :] = scale * c_pref * (s_hat @ amp)
-            c_rows[2 * j + 1, :] = scale * c_pref * (p_hat @ amp)
-
+    a_plus, a_minus, c_up, c_down = _beam_multipole_maps(
+        beams, k, plane.offset, plane.lattice.area, lmax
+    )
     b_plus = scatter @ a_plus
     b_minus = scatter @ a_minus
-    eye = np.eye(2 * n, dtype=complex)
+    eye = np.eye(2 * beams.n_beams, dtype=complex)
     return LayerS(
         beams,
         host,
@@ -200,6 +176,36 @@ def sphere_plane_smatrix(
         rmp=c_up @ b_minus,
         tmm=eye + c_down @ b_minus,
     )
+
+
+def _beam_multipole_maps(beams: BeamSet, k: complex, offset, area: float, lmax: int):
+    """Plane-wave <-> multipole maps of every beam for a plane at ``offset``.
+
+    Returns (a_plus, a_minus, c_up, c_down): the regular-expansion columns
+    (2 nlm x 2n) of unit incident beams travelling toward +z and -z, and the
+    rows (2n x 2 nlm) converting the outgoing multipoles of the plane into
+    beams travelling up (+z) and down (-z).
+    """
+    n = beams.n_beams
+    nv = vswf.nlm(lmax)
+    kt = beams.kt
+    kz = beams.kz
+    off = np.asarray(offset, dtype=float)
+    sqrt_kz = branch_sqrt_array(kz)
+    ktn = np.hypot(kt[:, 0], kt[:, 1])
+    phi = np.where(ktn > 1e-12, np.arctan2(kt[:, 1], kt[:, 0]), 0.0)
+    bloch = np.exp(1j * (kt[:, 0] * off[0] + kt[:, 1] * off[1]))
+    c_pref = 2.0 * math.pi / (area * k * kz)
+
+    # axes (sign, beam, polarization, channel); sign 0 travels toward +z,
+    # sign 1 toward -z.  One Y_lm table serves incident and outgoing maps.
+    yflat = vswf.ylm_flat(lmax + 1, np.stack([kz / k, -kz / k]), ktn / k, phi)[:, :, None, :]
+    pols = np.stack([_pol_vectors(kt, kz, k, +1), _pol_vectors(kt, kz, k, -1)])
+    a = vswf.incident_coeffs(lmax, yflat, pols) * bloch[:, None, None] / sqrt_kz[:, None, None]
+    c = ((sqrt_kz / bloch) * c_pref)[:, None, None] * vswf.outgoing_coeffs(lmax, yflat, pols)
+    a_plus, a_minus = (a[i].reshape(2 * n, 2 * nv).T for i in (0, 1))
+    c_up, c_down = (c[i].reshape(2 * n, 2 * nv) for i in (0, 1))
+    return a_plus, a_minus, c_up, c_down
 
 
 def _fresnel(kzl: complex, kzr: complex, epsl: complex, epsr: complex):

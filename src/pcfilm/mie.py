@@ -22,6 +22,12 @@ def branch_sqrt(w: complex) -> complex:
     return s
 
 
+def branch_sqrt_array(w) -> np.ndarray:
+    """branch_sqrt applied elementwise to an array."""
+    s = np.sqrt(np.asarray(w, dtype=complex))
+    return np.where((s.imag < 0) | ((s.imag == 0) & (s.real < 0)), -s, s)
+
+
 @dataclass(frozen=True)
 class Material:
     """Relative permittivity of a (non-magnetic) region."""

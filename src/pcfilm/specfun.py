@@ -148,40 +148,52 @@ def assoc_legendre(lmax: int, x: float) -> np.ndarray:
     return p
 
 
-def legendre_normalized(lmax: int, ct: complex, st: complex) -> np.ndarray:
+def legendre_normalized(lmax: int, ct, st) -> np.ndarray:
     """Spherical-harmonic-normalized Legendre table for possibly complex angles.
 
-    Returns Ptilde[l, m] = sqrt((2l+1)(l-m)!/(4 pi (l+m)!)) P_l^m(ct) for
+    Returns Ptilde[..., l, m] = sqrt((2l+1)(l-m)!/(4 pi (l+m)!)) P_l^m(ct) for
     0 <= m <= l, evaluated from (ct, st) without taking any square root of
-    1 - ct^2; the caller chooses the branch by supplying st.
+    1 - ct^2; the caller chooses the branch by supplying st.  ct and st may
+    be arrays of directions; the leading axes are their broadcast shape.
     """
-    p = np.zeros((lmax + 1, lmax + 1), dtype=complex)
-    p[0, 0] = math.sqrt(1.0 / (4.0 * math.pi))
+    ct = np.asarray(ct)
+    st = np.asarray(st)
+    p = np.zeros(np.broadcast_shapes(ct.shape, st.shape) + (lmax + 1, lmax + 1), dtype=complex)
+    p[..., 0, 0] = math.sqrt(1.0 / (4.0 * math.pi))
     for m in range(1, lmax + 1):
-        p[m, m] = -math.sqrt((2 * m + 1) / (2.0 * m)) * st * p[m - 1, m - 1]
+        p[..., m, m] = -math.sqrt((2 * m + 1) / (2.0 * m)) * st * p[..., m - 1, m - 1]
     for m in range(lmax):
-        p[m + 1, m] = math.sqrt(2 * m + 3) * ct * p[m, m]
-    for m in range(lmax + 1):
-        for l in range(m + 2, lmax + 1):
-            a = math.sqrt((4 * l * l - 1) / (l * l - m * m))
-            b = math.sqrt(((l - 1) ** 2 - m * m) / (4 * (l - 1) ** 2 - 1))
-            p[l, m] = a * (ct * p[l - 1, m] - b * p[l - 2, m])
+        p[..., m + 1, m] = math.sqrt(2 * m + 3) * ct * p[..., m, m]
+    ct = ct[..., None]
+    for l in range(2, lmax + 1):
+        a, b = _legendre_coefs(l)
+        p[..., l, : l - 1] = a * (ct * p[..., l - 1, : l - 1] - b * p[..., l - 2, : l - 1])
     return p
 
 
-def ylm_table(lmax: int, ct: complex, st: complex, phi: float | complex) -> np.ndarray:
-    """Full Y_lm table, indexed [l, m] with m in -l..l stored at [l, m % cols].
+@lru_cache(maxsize=None)
+def _legendre_coefs(l: int) -> tuple[np.ndarray, np.ndarray]:
+    """Three-term recursion factors for P[l, m] from P[l-1, m], P[l-2, m], m <= l-2."""
+    m = range(l - 1)
+    a = np.array([math.sqrt((4 * l * l - 1) / (l * l - k * k)) for k in m])
+    b = np.array([math.sqrt(((l - 1) ** 2 - k * k) / (4 * (l - 1) ** 2 - 1)) for k in m])
+    return a, b
 
-    Returned as a dense (lmax+1, 2*lmax+1) array with column index m + lmax.
+
+def ylm_table(lmax: int, ct, st, phi) -> np.ndarray:
+    """Full Y_lm table, indexed [..., l, m + lmax] for m in -l..l.
+
+    Returned as a dense (..., lmax+1, 2*lmax+1) array; the leading axes are
+    the broadcast shape of (ct, st, phi), empty for a single direction.
     """
     pt = legendre_normalized(lmax, ct, st)
-    out = np.zeros((lmax + 1, 2 * lmax + 1), dtype=complex)
-    for m in range(lmax + 1):
-        eimp = np.exp(1j * m * phi)
-        for l in range(m, lmax + 1):
-            out[l, m + lmax] = pt[l, m] * eimp
-            if m > 0:
-                out[l, -m + lmax] = (-1) ** m * pt[l, m] / eimp
+    m = np.arange(lmax + 1)
+    eimp = np.exp(1j * m * np.asarray(phi)[..., None])[..., None, :]
+    shape = np.broadcast_shapes(pt.shape, eimp.shape)
+    out = np.zeros(shape[:-1] + (2 * lmax + 1,), dtype=complex)
+    out[..., lmax:] = pt * eimp
+    sign = (-1.0) ** m[1:]
+    out[..., lmax - m[1:]] = sign * pt[..., 1:] / eimp[..., 1:]
     return out
 
 

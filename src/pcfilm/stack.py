@@ -80,7 +80,6 @@ class NumericalControls:
 
     lmax: int = LMAX_DEFAULT
     cutoff: float | None = None
-    cond_limit: float = ly.COND_REPORT_LIMIT
 
     def resolved_cutoff(self, omega: float, eps_max: float, kpar_norm: float) -> float:
         if self.cutoff is not None:

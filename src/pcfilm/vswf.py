@@ -83,11 +83,15 @@ def _scalar_index_arrays(lam_max: int):
     return lidx, midx
 
 
-def ylm_flat(lmax: int, ct: complex, st: complex, phi: float) -> np.ndarray:
-    """Y_lm values as a flat array over sidx(l, m), l <= lmax."""
+def ylm_flat(lmax: int, ct, st, phi) -> np.ndarray:
+    """Y_lm values as a flat array over sidx(l, m), l <= lmax.
+
+    The direction arguments may be arrays; the leading axes of the result are
+    their broadcast shape.
+    """
     tab = sf.ylm_table(lmax, ct, st, phi)
     lidx, midx = _scalar_index_arrays(lmax)
-    return tab[lidx, midx + lmax]
+    return tab[..., lidx, midx + lmax]
 
 
 def vector_harmonic(l: int, j: int, m: int, yflat: np.ndarray) -> np.ndarray:
@@ -109,29 +113,58 @@ def plane_wave_coeffs(lmax: int, ct, st, phi, evec) -> tuple[np.ndarray, np.ndar
     for evanescent beams); evec is the cartesian polarization vector with
     evec . K = 0.  Expansion: E = sum aM_lm M^(1)_lm + aE_lm N^(1)_lm.
     """
-    lam_max = lmax + 1
-    tab = sf.ylm_table(lam_max, ct, st, phi)
-    lidx, midx = _scalar_index_arrays(lam_max)
-    # Ybar analytic conjugate
-    ybar = (-1.0) ** midx * tab[lidx, lam_max - midx]
-    ecomp = spherical_components(np.asarray(evec, dtype=complex))
-    mats = _pw_matrices(lmax)
-    a = sum(ecomp[q] * (mats[q] @ ybar) for q in (-1, 0, 1))
+    a = incident_coeffs(lmax, ylm_flat(lmax + 1, ct, st, phi), np.asarray(evec, dtype=complex))
     nv = nlm(lmax)
-    return a[:nv], a[nv:]
+    return a[..., :nv], a[..., nv:]
+
+
+def incident_coeffs(lmax: int, yflat: np.ndarray, evec: np.ndarray) -> np.ndarray:
+    """(aM; aE) of plane_wave_coeffs for many directions and polarizations at once.
+
+    yflat = ylm_flat(lmax + 1, ct, st, phi) has shape D + (n_scalar,) over
+    directions; evec has shape P + (3,) with P broadcastable against D.
+    Returns shape broadcast(D, P) + (2 nlm,).
+    """
+    lam_max = lmax + 1
+    lidx, midx = _scalar_index_arrays(lam_max)
+    # Ybar_lm = (-1)^m Y_{l,-m}, the analytic conjugate
+    ybar = (-1.0) ** midx * yflat[..., lidx * lidx + lidx - midx]
+    proj = _contract(ybar, _pw_matrices(lmax))
+    e = spherical_components(np.moveaxis(evec, -1, 0))
+    return sum(e[q][..., None] * proj[..., q + 1, :] for q in (-1, 0, 1))
+
+
+def outgoing_coeffs(lmax: int, yflat: np.ndarray, evec: np.ndarray) -> np.ndarray:
+    """evec . (out_tensor(lmax) @ yflat) for many directions and polarizations.
+
+    The scalar identity
+        sum_R e^{i kpar.R} h_l(k|r-R|) Y_lm = sum_g c_pref (-i)^l Y_lm(Kg^pm) e^{i Kg.r}
+    with c_pref = 2 pi / (A k gamma_g) lifts channel-wise: c_pref times this
+    row dotted with (bM; bE) is the evec component of the plane wave that a
+    lattice of multipoles (bM; bE) sends along the direction of yflat.
+    Shapes as in incident_coeffs.
+    """
+    return (evec[..., None, :] @ _contract(yflat, out_tensor(lmax)))[..., 0, :]
+
+
+def _contract(yflat: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """mats @ yflat over the trailing scalar axis, as one matrix product."""
+    ns = mats.shape[-1]
+    flat = yflat.reshape(-1, ns) @ mats.reshape(-1, ns).T
+    return flat.reshape(yflat.shape[:-1] + mats.shape[:-1])
 
 
 @lru_cache(maxsize=8)
-def _pw_matrices(lmax: int):
+def _pw_matrices(lmax: int) -> np.ndarray:
     """Per-component matrices P_q with (aM; aE) = sum_q e^q P_q Ybar.
 
     Encodes the Clebsch-Gordan contraction of plane_wave_coeffs once per
     lmax; the electric rows already invert the 2x2 (N, grad) block, whose
-    determinant is exactly i.
+    determinant is exactly i.  Stacked as (3, 2 nlm, n_scalar), P_q at q + 1.
     """
     lam_max = lmax + 1
     nv = nlm(lmax)
-    mats = {q: np.zeros((2 * nv, n_scalar(lam_max)), dtype=complex) for q in (-1, 0, 1)}
+    mats = np.zeros((3, 2 * nv, n_scalar(lam_max)), dtype=complex)
     for l in range(1, lmax + 1):
         al, bl, cl, dl = _ab(l)
         for m in range(-l, l + 1):
@@ -141,34 +174,20 @@ def _pw_matrices(lmax: int):
                 if abs(nu) <= l:
                     cg = sf.clebsch_gordan(l, nu, 1, q, l, m)
                     if cg:
-                        mats[q][i, sidx(l, nu)] += 4.0 * math.pi * (1j) ** l * cg
+                        mats[q + 1, i, sidx(l, nu)] += 4.0 * math.pi * (1j) ** l * cg
                 if abs(nu) <= l - 1:
                     cg = sf.clebsch_gordan(l - 1, nu, 1, q, l, m)
                     if cg:
-                        mats[q][i + nv, sidx(l - 1, nu)] += (
+                        mats[q + 1, i + nv, sidx(l - 1, nu)] += (
                             -1j * dl * 4.0 * math.pi * (1j) ** (l - 1) * cg
                         )
                 if abs(nu) <= l + 1:
                     cg = sf.clebsch_gordan(l + 1, nu, 1, q, l, m)
                     if cg:
-                        mats[q][i + nv, sidx(l + 1, nu)] += (
+                        mats[q + 1, i + nv, sidx(l + 1, nu)] += (
                             1j * cl * 4.0 * math.pi * (1j) ** (l + 1) * cg
                         )
     return mats
-
-
-def outgoing_beam_amplitude(
-    lmax: int, bM: np.ndarray, bE: np.ndarray, ct, st, phi, c_pref: complex
-) -> np.ndarray:
-    """Plane-wave amplitude (cartesian E vector) of a lattice of multipoles.
-
-    The scalar identity
-        sum_R e^{i kpar.R} h_l(k|r-R|) Y_lm = sum_g c_pref (-i)^l Y_lm(Kg^pm) e^{i Kg.r}
-    with c_pref = 2 pi / (A k gamma_g) lifts channel-wise; this returns the
-    vector amplitude for one diffraction order/direction.
-    """
-    amp = out_tensor(lmax) @ ylm_flat(lmax + 1, ct, st, phi)
-    return c_pref * (amp @ np.concatenate([bM, bE]))
 
 
 @lru_cache(maxsize=8)

@@ -22,8 +22,32 @@ from pcfilm.lattice import (
     reciprocal_basis,
     structure_constants,
 )
-from pcfilm.mie import Material
+from pcfilm.mie import Material, branch_sqrt
 from pcfilm.vswf import lm_list, nlm
+
+
+def _beam_set_loop(lat, omega, kpar, ambient, cutoff):
+    """(g_ints, kz) of beam_set, one integer pair at a time (reference)."""
+    b1, b2 = reciprocal_basis(lat)
+    kpar = np.asarray(kpar, dtype=float)
+    n0 = -np.round(np.linalg.solve(np.column_stack([b1, b2]), kpar)).astype(int)
+    folds = []
+    for n1 in range(n0[0] - 2, n0[0] + 3):
+        for n2 in range(n0[1] - 2, n0[1] + 3):
+            v = kpar + n1 * b1 + n2 * b2
+            folds.append((round(float(v @ v), 12), n1, n2, v))
+    kf = min(folds, key=lambda e: e[:3])[3]
+    nbox = int(math.ceil((cutoff + math.hypot(*kf)) / min(np.linalg.norm(b1), np.linalg.norm(b2)) * 2)) + 2
+    entries = []
+    for n1 in range(-nbox, nbox + 1):
+        for n2 in range(-nbox, nbox + 1):
+            kt = kf + (n1 * b1 + n2 * b2)
+            kt2 = float(kt @ kt)
+            if kt2 <= cutoff * cutoff + 1e-12:
+                entries.append((round(kt2, 12), n1, n2, kt2))
+    entries.sort(key=lambda e: e[:3])
+    k2 = ambient.eps * omega * omega
+    return tuple((e[1], e[2]) for e in entries), np.array([branch_sqrt(k2 - e[3]) for e in entries])
 
 
 class TestReciprocalBasis:
@@ -97,6 +121,17 @@ class TestBeamSet:
         assert a.g_ints == b.g_ints
         dists = [np.hypot(*(np.asarray(a.kpar) + 2 * math.pi * np.array(g))) for g in a.g_ints]
         assert all(d2 >= d1 - 1e-12 for d1, d2 in zip(dists, dists[1:]))
+
+    @pytest.mark.parametrize(
+        "lat, kpar",
+        [(SQUARE, (math.pi, 0.0)), (SQUARE, (7.1, -3.3)), (TRIANGULAR, (0.4, 2.9))],
+    )
+    def test_matches_loop_reference(self, lat, kpar):
+        ambient = Material(12.0 + 0.1j)
+        beams = beam_set(lat, 1.6, kpar, ambient, 18.0)
+        g_ints, kz = _beam_set_loop(lat, 1.6, kpar, ambient, 18.0)
+        assert beams.g_ints == g_ints
+        assert np.array_equal(beams.kz, kz)
 
     def test_cutoff_too_small_rejected(self):
         with pytest.raises(InvalidArgumentError):

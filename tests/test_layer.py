@@ -9,11 +9,15 @@ import numpy as np
 import pytest
 
 from oracles import fresnel_power_reflectance, mie_oracle
-from pcfilm.errors import InvalidArgumentError
+from pcfilm import vswf
+from pcfilm.errors import InvalidArgumentError, SingularSolveError
 from pcfilm.lattice import SQUARE, beam_set, structure_constants
 from pcfilm.layer import (
+    COND_REPORT_LIMIT,
     Plate,
     PlaneOfSpheres,
+    _beam_multipole_maps,
+    _solve_reported,
     gap_smatrix,
     identity_smatrix,
     interface_smatrix,
@@ -21,7 +25,7 @@ from pcfilm.layer import (
     sphere_plane_smatrix,
     star_product,
 )
-from pcfilm.mie import Material, SphereScatterer, VACUUM
+from pcfilm.mie import Material, SphereScatterer, VACUUM, branch_sqrt
 
 OM = 0.9
 
@@ -172,6 +176,68 @@ class TestSpherePlane:
     def test_overlapping_spheres_rejected(self):
         with pytest.raises(InvalidArgumentError):
             PlaneOfSpheres(SQUARE, SphereScatterer(0.6, Material(2.0), VACUUM))
+
+
+def _maps_per_direction(beams, k, offset, area, lmax):
+    """The beam maps of _beam_multipole_maps, one beam, sign and polarization at a time."""
+    n, nv = beams.n_beams, vswf.nlm(lmax)
+    a = {s: np.zeros((2 * nv, 2 * n), dtype=complex) for s in (1, -1)}
+    c = {s: np.zeros((2 * n, 2 * nv), dtype=complex) for s in (1, -1)}
+    for j in range(n):
+        (kx, ky), kz = beams.kt[j], beams.kz[j]
+        ktn = math.hypot(kx, ky)
+        phi = math.atan2(ky, kx) if ktn > 1e-12 else 0.0
+        cphi, sphi = (kx / ktn, ky / ktn) if ktn > 1e-12 else (1.0, 0.0)
+        bloch = cmath.exp(1j * (kx * offset[0] + ky * offset[1]))
+        root = branch_sqrt(kz)
+        for sign in (1, -1):
+            ct, st = sign * kz / k, ktn / k
+            pols = (np.array([-sphi, cphi, 0.0]), np.array([sign * kz * cphi, sign * kz * sphi, -ktn]) / k)
+            amp = vswf.out_tensor(lmax) @ vswf.ylm_flat(lmax + 1, ct, st, phi)
+            for ipol, e in enumerate(pols):
+                aM, aE = vswf.plane_wave_coeffs(lmax, ct, st, phi, e)
+                a[sign][:, 2 * j + ipol] = np.concatenate([aM, aE]) * bloch / root
+                c[sign][2 * j + ipol] = root / bloch * 2 * math.pi / (area * k * kz) * (e @ amp)
+    return a[1], a[-1], c[1], c[-1]
+
+
+class TestBeamMultipoleMaps:
+    @pytest.mark.parametrize("kpar, offset", [((0.0, 0.0), (0.5, 0.5)), ((0.7, -0.3), (0.5, 0.25))])
+    def test_batched_equals_per_direction(self, kpar, offset):
+        host = Material(12.0 + 0.1j)
+        omega, lmax = 2.2 / math.sqrt(2.0), 7
+        beams = beam_set(SQUARE, omega, kpar, host, 18.0)
+        travelling = np.abs(beams.kz.real) > np.abs(beams.kz.imag)  # the host is lossy
+        assert travelling.any() and not travelling.all()
+        k = host.wavenumber(omega)
+        got = _beam_multipole_maps(beams, k, offset, SQUARE.area, lmax)
+        want = _maps_per_direction(beams, k, offset, SQUARE.area, lmax)
+        for g, w in zip(got, want):
+            cols = (w, g) if w.shape[0] > w.shape[1] else (w.T, g.T)  # one column per beam port
+            scale = np.max(np.abs(cols[0]), axis=0)
+            assert np.all(np.max(np.abs(cols[1] - cols[0]), axis=0) <= 1e-13 * scale)
+
+
+class TestSolveReported:
+    def test_matches_dense_solve(self):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20)) + 8 * np.eye(20)
+        b = rng.normal(size=(20, 5)) + 0j
+        assert np.max(np.abs(_solve_reported(a, b, "test") - np.linalg.solve(a, b))) < 1e-13
+
+    def test_exactly_singular(self):
+        a = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
+        with pytest.raises(SingularSolveError) as err:
+            _solve_reported(a, np.eye(2, dtype=complex), "test")
+        assert err.value.condition == np.inf
+
+    def test_nearly_singular(self):
+        a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-11]], dtype=complex)
+        with pytest.raises(SingularSolveError, match="ill-conditioned") as err:
+            _solve_reported(a, np.eye(2, dtype=complex), "test")
+        assert COND_REPORT_LIMIT < err.value.condition < np.inf
+        # the reported value is the 1-norm condition number (exact for 2 x 2)
+        assert err.value.condition == pytest.approx(np.linalg.cond(a, 1), rel=1e-3)
 
 
 class TestIdentity:

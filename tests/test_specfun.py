@@ -20,6 +20,7 @@ from pcfilm.specfun import (
     sph_bessel,
     sph_hankel1,
     sph_neumann,
+    ylm_table,
     zl_derivative,
 )
 
@@ -166,6 +167,59 @@ class TestAssocLegendre:
             for m in range(l):
                 res = (l + 1 - m) * p[l + 1, m] - (2 * l + 1) * x * p[l, m] + (l + m) * p[l - 1, m]
                 assert abs(res) < 1e-12 * scale
+
+
+class TestYlmTable:
+    def test_closed_forms_complex_angle(self):
+        ct = 1.3 + 0.2j  # evanescent direction: |cos| > 1, st from the decaying branch
+        st = cmath.sqrt(1 - ct * ct)
+        phi = 0.7
+        tab = ylm_table(2, ct, st, phi)
+        assert tab[1, 2 + 0] == pytest.approx(math.sqrt(3 / (4 * math.pi)) * ct, rel=1e-14)
+        assert tab[1, 2 + 1] == pytest.approx(
+            -math.sqrt(3 / (8 * math.pi)) * st * cmath.exp(1j * phi), rel=1e-14
+        )
+        assert tab[1, 2 - 1] == pytest.approx(
+            math.sqrt(3 / (8 * math.pi)) * st * cmath.exp(-1j * phi), rel=1e-14
+        )
+        assert tab[2, 2 + 0] == pytest.approx(
+            math.sqrt(5 / (16 * math.pi)) * (3 * ct * ct - 1), rel=1e-14
+        )
+
+    def test_batched_equals_loop_reference(self):
+        rng = np.random.default_rng(7)
+        ct = rng.normal(size=(3, 5)) + 0.4j * rng.normal(size=(3, 5))
+        st = np.sqrt(1 - ct * ct)
+        phi = rng.uniform(-math.pi, math.pi, size=5)
+        tab = ylm_table(6, ct, st, phi)
+        assert tab.shape == (3, 5, 7, 13)
+        for i in range(3):
+            for j in range(5):
+                one = _ylm_loop(6, ct[i, j], st[i, j], phi[j])
+                assert np.max(np.abs(tab[i, j] - one)) <= 1e-14 * np.max(np.abs(one))
+
+
+def _ylm_loop(lmax, ct, st, phi):
+    """ylm_table for one direction, one (l, m) at a time (reference)."""
+    p = np.zeros((lmax + 1, lmax + 1), dtype=complex)
+    p[0, 0] = math.sqrt(1.0 / (4.0 * math.pi))
+    for m in range(1, lmax + 1):
+        p[m, m] = -math.sqrt((2 * m + 1) / (2.0 * m)) * st * p[m - 1, m - 1]
+    for m in range(lmax):
+        p[m + 1, m] = math.sqrt(2 * m + 3) * ct * p[m, m]
+    for m in range(lmax + 1):
+        for l in range(m + 2, lmax + 1):
+            a = math.sqrt((4 * l * l - 1) / (l * l - m * m))
+            b = math.sqrt(((l - 1) ** 2 - m * m) / (4 * (l - 1) ** 2 - 1))
+            p[l, m] = a * (ct * p[l - 1, m] - b * p[l - 2, m])
+    out = np.zeros((lmax + 1, 2 * lmax + 1), dtype=complex)
+    for m in range(lmax + 1):
+        eimp = np.exp(1j * m * phi)
+        for l in range(m, lmax + 1):
+            out[l, m + lmax] = p[l, m] * eimp
+            if m > 0:
+                out[l, -m + lmax] = (-1) ** m * p[l, m] / eimp
+    return out
 
 
 class TestGaunt:
