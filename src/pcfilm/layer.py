@@ -11,21 +11,25 @@ subspace.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from . import vswf
 from .errors import InvalidArgumentError, SingularSolveError
 from .lattice import BeamSet, Lattice2D, StructureConstants, beam_kt2
 from .mie import Material, SphereScatterer, branch_sqrt, branch_sqrt_array, mie_t
 
-# Largest accepted condition number of a dense solve.  What is checked is
-# LAPACK's estimate of the 1-norm condition number (zgecon; Higham, ACM TOMS
-# 14, 381 (1988)), which lies within a factor n of the 2-norm value.
+# Largest accepted condition number of a dense solve.  What is checked is a
+# probe estimate of the 2-norm condition number, ||A||_F max_j |A^-1 v_j| / |v_j|
+# over _N_PROBES fixed complex Gaussian vectors v_j (Dixon, SIAM J. Numer.
+# Anal. 20, 812 (1983)).  It never exceeds sqrt(n) cond_2(A); since
+# E |A^-1 v|^2 = ||A^-1||_F^2 for E v v^H = I, it is on average at least
+# cond_2(A) / sqrt(n).
 COND_REPORT_LIMIT = 1e10
+_N_PROBES = 2
 
 
 @dataclass(frozen=True)
@@ -113,25 +117,39 @@ def _pol_vectors(kt: np.ndarray, kz: np.ndarray, k: complex, sign: int) -> np.nd
     return vec
 
 
-def _solve_reported(a: np.ndarray, b: np.ndarray, context: str) -> np.ndarray:
-    """Solve a x = b by one LU factorization, and report ill-conditioning.
+@functools.lru_cache(maxsize=8)
+def _probes(n: int) -> np.ndarray:
+    """Fixed (seeded) complex Gaussian probe columns for an n x n solve."""
+    rng = np.random.default_rng(n)
+    v = rng.normal(size=(n, _N_PROBES)) + 1j * rng.normal(size=(n, _N_PROBES))
+    v.flags.writeable = False
+    return v
 
-    The condition estimate reuses the LU factors; it is checked against
-    COND_REPORT_LIMIT.
+
+def _solve_reported(a: np.ndarray, b: np.ndarray, context: str) -> np.ndarray:
+    """Solve a x = b (b of shape (n, m)) and report ill-conditioning.
+
+    The probe columns of the condition estimate ride along with b through
+    the same LU factorization, so the estimate costs _N_PROBES extra
+    triangular solves.  Everything stays in numpy's LAPACK: mixing in a
+    second BLAS library (scipy's) makes two thread pools spin against each
+    other in this hot loop when BLAS runs multithreaded.
     """
-    lu, piv, info = lapack.zgetrf(a)
-    if info > 0:
-        raise SingularSolveError(f"singular solve in {context}", condition=np.inf)
-    x, _ = lapack.zgetrs(lu, piv, b)
-    if not np.all(np.isfinite(x)):
+    m = b.shape[1]
+    probes = _probes(a.shape[0])
+    try:
+        xv = np.linalg.solve(a, np.concatenate([b, probes], axis=1))
+    except np.linalg.LinAlgError as exc:
+        raise SingularSolveError(f"singular solve in {context}", condition=np.inf) from exc
+    if not np.all(np.isfinite(xv)):
         raise SingularSolveError(f"non-finite solve result in {context}", condition=np.inf)
-    rcond, _ = lapack.zgecon(lu, np.abs(a).sum(axis=0).max())
-    cond = 1.0 / rcond if rcond > 0 else np.inf
+    growth = np.linalg.norm(xv[:, m:], axis=0) / np.linalg.norm(probes, axis=0)
+    cond = float(np.linalg.norm(a) * growth.max())
     if cond > COND_REPORT_LIMIT:
         raise SingularSolveError(
             f"ill-conditioned solve in {context}: cond = {cond:.3e}", condition=cond
         )
-    return x
+    return xv[:, :m]
 
 
 def sphere_plane_smatrix(

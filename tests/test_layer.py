@@ -236,8 +236,10 @@ class TestSolveReported:
         with pytest.raises(SingularSolveError, match="ill-conditioned") as err:
             _solve_reported(a, np.eye(2, dtype=complex), "test")
         assert COND_REPORT_LIMIT < err.value.condition < np.inf
-        # the reported value is the 1-norm condition number (exact for 2 x 2)
-        assert err.value.condition == pytest.approx(np.linalg.cond(a, 1), rel=1e-3)
+        # the reported value is the probe estimate of the 2-norm condition
+        # number: at most sqrt(n) cond_2, and here within that factor below it
+        cond2 = np.linalg.cond(a)
+        assert cond2 / np.sqrt(2.0) <= err.value.condition <= np.sqrt(2.0) * cond2 * (1 + 1e-3)
 
 
 class TestIdentity:
