@@ -2,24 +2,19 @@
 """Truncation convergence of the Fig. 2 emissivity: lmax 7 -> 8 and beam
 cutoff +30%, reporting the largest absolute change in E over a coarse grid."""
 
-import dataclasses
 import math
 import sys
 
 import numpy as np
 
 import pcfilm.scenes as sc
-from pcfilm.stack import NumericalControls, solve_stack_points
+from pcfilm.emissivity import angular_map
+from pcfilm.stack import NumericalControls
 
 
 def emap(scene, controls, om_int, thetas):
-    desc = scene.build_stack()
-    out = np.zeros((om_int.size, len(thetas), 2))
-    for i, om in enumerate(om_int):
-        for j, th in enumerate(thetas):
-            ps, pp = solve_stack_points(desc, float(om), th, 0.0, ("s", "p"), controls)
-            out[i, j] = (ps.A, pp.A)
-    return out
+    """E[omega, theta, pol] for s and p."""
+    return angular_map(scene.build_stack(), om_int, thetas, controls).A
 
 
 def main():

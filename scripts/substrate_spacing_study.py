@@ -11,10 +11,8 @@ import dataclasses
 import math
 import sys
 
-import numpy as np
-
 import pcfilm.scenes as sc
-from pcfilm.stack import solve_stack_points
+from pcfilm.emissivity import angular_map
 
 DZ = math.sqrt(2.0) / 4.0
 
@@ -49,15 +47,10 @@ def spectrum_for_spacing(scene, spacing):
         unit = unit[:-1] + (("gap", repr(DZ / 2.0 + extra)),)
         post = ()
     varied = dataclasses.replace(scene, unit=unit, post=post)
-    desc = varied.build_stack()
-    ctrl = varied.controls()
     om_disp = varied.omega_display_grid()
-    om_int = varied.omega_internal(om_disp)
-    e_avg = np.zeros(om_int.size)
-    for i, om in enumerate(om_int):
-        ps, pp = solve_stack_points(desc, float(om), 0.0, 0.0, ("s", "p"), ctrl)
-        e_avg[i] = 0.5 * (ps.A + pp.A)
-    return om_disp, e_avg
+    desc = varied.build_stack()
+    emap = angular_map(desc, varied.omega_internal(om_disp), [0.0], varied.controls())
+    return om_disp, emap.e_avg[:, 0]
 
 
 def main():

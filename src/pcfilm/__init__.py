@@ -4,7 +4,7 @@ plates between half-spaces, with a 1D transfer-matrix reference engine,
 complex band structure, and Planck-weighted emissivity sweeps."""
 
 from .band import BandPoint, complex_bands, gap_edges
-from .emissivity import EmissivityMap, angular_map, emissivity_point, planck_b, planck_weight
+from .emissivity import EmissivityMap, angular_map, planck_b, planck_weight
 from .errors import (
     ConfigError,
     ConvergenceError,

@@ -43,12 +43,6 @@ class BandPoint:
     def propagating(self) -> np.ndarray:
         return np.abs(self.kz_list.imag) * self.period < PROP_TOL
 
-    @property
-    def min_decay(self) -> float:
-        """Smallest Im(kz) among non-propagating branches (inf if none)."""
-        dec = self.kz_list.imag[~self.propagating]
-        return float(dec.min()) if dec.size else math.inf
-
 
 def complex_bands(unit: LayerS, period: float, omega: float, kpar) -> BandPoint:
     """All Bloch branches of the repeated unit slice at one (omega, kpar)."""

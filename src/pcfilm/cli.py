@@ -18,13 +18,13 @@ import numpy as np
 
 from . import band as bd
 from . import scenes as sc
-from .emissivity import PLANCK_PEAK_X, angular_map, planck_b, planck_weight
+from .emissivity import PLANCK_PEAK_X, POLS, GridPointError, angular_map, planck_b, planck_weight
 from .errors import PcfilmError
 from .layer import Plate
 from .mie import Material, SphereScatterer, mie_cross_sections, mie_t
 from .onedim import OneDimLayer, solve_onedim
 from .output import fmt9, write_band_svg, write_csv, write_heatmap_svg
-from .stack import Repeat, slice_smatrix, solve_stack, solve_stack_points
+from .stack import Repeat, slice_smatrix, solve_stack_points, walk_stack
 
 
 def _load_scene(args) -> sc.Scene:
@@ -56,31 +56,29 @@ def _grid_points(scene: sc.Scene):
     return om_disp, om_int, th, th_deg
 
 
-def cmd_spectrum(scene: sc.Scene, out: Path, threads: int) -> list[Path]:
-    desc = scene.build_stack()
-    controls = scene.controls()
+def _angular_map(scene: sc.Scene, threads: int):
+    """(displayed omega, theta in degrees, EmissivityMap) over the scene's grid."""
     om_disp, om_int, th, th_deg = _grid_points(scene)
-    phi = math.radians(scene.phi_deg)
-    tasks = [(i, j) for i in range(om_int.size) for j in range(th.size)]
+    try:
+        emap = angular_map(
+            scene.build_stack(), om_int, th, scene.controls(), math.radians(scene.phi_deg), threads
+        )
+    except GridPointError as exc:
+        i, j = exc.index
+        raise PcfilmError(
+            f"emissivity failed at omega={om_disp[i]}, theta={th_deg[j]} deg: {exc.__cause__}"
+        ) from exc
+    return om_disp, th_deg, emap
 
-    def work(task):
-        i, j = task
-        try:
-            return solve_stack_points(desc, om_int[i], th[j], phi, ("s", "p"), controls)
-        except PcfilmError as exc:
-            raise PcfilmError(
-                f"spectrum failed at omega={om_disp[i]}, theta={th_deg[j]} deg: {exc}"
-            ) from exc
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pts = list(pool.map(work, tasks))
-    else:
-        pts = [work(t) for t in tasks]
+def cmd_spectrum(scene: sc.Scene, out: Path, threads: int) -> list[Path]:
+    om_disp, th_deg, emap = _angular_map(scene, threads)
     rows = [
-        [fmt9(om_disp[i]), fmt9(th_deg[j]), p.pol, fmt9(p.R), fmt9(p.T), fmt9(p.A), fmt9(p.E)]
-        for (i, j), pair in zip(tasks, pts)
-        for p in pair
+        [fmt9(om_disp[i]), fmt9(th_deg[j]), pol]
+        + [fmt9(x[i, j, k]) for x in (emap.R, emap.T, emap.A, emap.A)]  # E = A
+        for i in range(om_disp.size)
+        for j in range(th_deg.size)
+        for k, pol in enumerate(POLS)
     ]
     path = out / "spectrum.csv"
     write_csv(path, [_freq_header(scene), "theta(deg)", "pol", "R", "T", "A", "E"], rows)
@@ -88,18 +86,16 @@ def cmd_spectrum(scene: sc.Scene, out: Path, threads: int) -> list[Path]:
 
 
 def cmd_sweep(scene: sc.Scene, out: Path, threads: int) -> list[Path]:
-    desc = scene.build_stack()
-    controls = scene.controls()
-    om_disp, om_int, th, th_deg = _grid_points(scene)
-    emap = angular_map(desc, om_int, th, controls, math.radians(scene.phi_deg), threads)
+    om_disp, th_deg, emap = _angular_map(scene, threads)
+    maps = (("s", emap.e_s), ("p", emap.e_p), ("avg", emap.e_avg))
     rows = []
-    for pol, mat in (("s", emap.e_s), ("p", emap.e_p), ("avg", emap.e_avg)):
+    for pol, mat in maps:
         for i in range(om_disp.size):
             for j in range(th_deg.size):
                 rows.append([fmt9(om_disp[i]), fmt9(th_deg[j]), pol, fmt9(mat[i, j])])
     paths = [out / "sweep.csv"]
     write_csv(paths[0], [_freq_header(scene), "theta(deg)", "pol", "E"], rows)
-    for pol, mat in (("s", emap.e_s), ("p", emap.e_p), ("avg", emap.e_avg)):
+    for pol, mat in maps:
         p = out / f"sweep_{pol}.svg"
         write_heatmap_svg(
             p, th_deg, om_disp, mat.T, f"emissivity E ({pol})",
@@ -168,21 +164,10 @@ def cmd_band(scene: sc.Scene, out: Path, threads: int) -> list[Path]:
 
 def _first_scatterer(scene: sc.Scene) -> SphereScatterer:
     desc = scene.build_stack()
-
-    def scan(elements):
-        for el in elements:
-            if isinstance(el, Repeat):
-                found = scan(el.elements)
-                if found is not None:
-                    return found
-            elif hasattr(el, "scatterer"):
-                return el.scatterer
-        return None
-
-    found = scan(desc.elements)
-    if found is None:
+    plane = walk_stack(desc.elements, desc.incident).plane
+    if plane is None:
         raise PcfilmError("scene contains no sphere plane; nothing for 'mie' to compute")
-    return found
+    return plane.scatterer
 
 
 def cmd_mie(scene: sc.Scene, out: Path, threads: int) -> list[Path]:
@@ -246,8 +231,7 @@ def run_validate(scene: sc.Scene):
     resid = 0.0
     for om in om_pts:
         for th in th_pts:
-            for pol in ("s", "p"):
-                p = solve_stack(desc, float(om), th, 0.0, pol, controls)
+            for p in solve_stack_points(desc, float(om), th, 0.0, POLS, controls):
                 resid = max(resid, abs(p.R + p.T - 1.0))
     layers = _plate_layers(scene)
     checks.append(("energy-conservation", resid, 1e-10 if layers is not None else 1e-6))
@@ -257,10 +241,10 @@ def run_validate(scene: sc.Scene):
         resid = 0.0
         for om in om_pts:
             for th in th_pts:
-                for pol in ("s", "p"):
-                    p = solve_stack(desc_l, float(om), th, 0.0, pol, scene.controls())
+                pts = solve_stack_points(desc_l, float(om), th, 0.0, POLS, scene.controls())
+                for p in pts:
                     R1, T1, A1 = solve_onedim(
-                        layers, float(om), th, pol,
+                        layers, float(om), th, p.pol,
                         desc_l.incident, desc_l.exit, desc_l.exit_is_opaque,
                     )
                     resid = max(resid, abs(p.R - R1), abs(p.T - T1), abs(p.A - A1))

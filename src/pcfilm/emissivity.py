@@ -16,36 +16,46 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, PcfilmError
-from .stack import NumericalControls, StackDescription, solve_stack, solve_stack_points
+from .stack import NumericalControls, StackDescription, solve_stack_points
 
 PLANCK_INTEGRAL = math.pi**4 / 15.0  # int_0^inf x^3/(e^x - 1) dx
 PLANCK_PEAK_X = 2.8214393721220787   # root of 3(1 - e^-x) = x
+POLS = ("s", "p")  # order of the polarization axis of EmissivityMap
 
 
 @dataclass(frozen=True)
 class EmissivityMap:
-    """E(omega, theta) per polarization and their unpolarized average."""
+    """R, T and A = E over an (omega, theta) grid, indexed [omega, theta, pol].
+
+    The last axis runs over POLS; ``e_s``, ``e_p`` and their unpolarized
+    average ``e_avg`` are the emissivity maps.
+    """
 
     omega_grid: np.ndarray
     theta_grid: np.ndarray
-    e_s: np.ndarray
-    e_p: np.ndarray
+    R: np.ndarray
+    T: np.ndarray
+    A: np.ndarray
+
+    @property
+    def e_s(self) -> np.ndarray:
+        return self.A[..., 0]
+
+    @property
+    def e_p(self) -> np.ndarray:
+        return self.A[..., 1]
 
     @property
     def e_avg(self) -> np.ndarray:
         return 0.5 * (self.e_s + self.e_p)
 
 
-def emissivity_point(
-    desc: StackDescription,
-    omega: float,
-    theta: float,
-    pol: str,
-    controls: NumericalControls | None = None,
-    phi: float = 0.0,
-) -> float:
-    """Spectral directional emissivity E = A at one point."""
-    return solve_stack(desc, omega, theta, phi, pol, controls).A
+class GridPointError(PcfilmError):
+    """A point of angular_map failed; ``index`` is its (omega, theta) grid index."""
+
+    def __init__(self, message, index):
+        super().__init__(message)
+        self.index = index
 
 
 def angular_map(
@@ -56,7 +66,12 @@ def angular_map(
     phi: float = 0.0,
     threads: int = 1,
 ) -> EmissivityMap:
-    """Full E(omega, theta) map for s, p; deterministic assembly by grid index."""
+    """R, T, A for s and p over the full (omega, theta) grid.
+
+    Points are assembled by grid index, so the result does not depend on
+    ``threads``.  A failing point raises GridPointError naming its omega and
+    its theta in degrees.
+    """
     omega_grid = np.asarray(omega_grid, dtype=float)
     theta_grid = np.asarray(theta_grid, dtype=float)
     if omega_grid.size == 0 or theta_grid.size == 0:
@@ -67,13 +82,12 @@ def angular_map(
         i, j = task
         try:
             # both polarizations share one stack S-matrix
-            ps, pp = solve_stack_points(
-                desc, omega_grid[i], theta_grid[j], phi, ("s", "p"), controls
-            )
-            return ps.A, pp.A
+            return solve_stack_points(desc, omega_grid[i], theta_grid[j], phi, POLS, controls)
         except PcfilmError as exc:
-            raise PcfilmError(
-                f"emissivity failed at omega={omega_grid[i]}, theta={theta_grid[j]}: {exc}"
+            raise GridPointError(
+                f"emissivity failed at omega={omega_grid[i]}, "
+                f"theta={math.degrees(theta_grid[j])} deg: {exc}",
+                task,
             ) from exc
 
     if threads > 1:
@@ -81,12 +95,9 @@ def angular_map(
             results = list(pool.map(work, tasks))
     else:
         results = [work(t) for t in tasks]
-    e_s = np.zeros((omega_grid.size, theta_grid.size))
-    e_p = np.zeros_like(e_s)
-    for (i, j), (vs, vp) in zip(tasks, results):
-        e_s[i, j] = vs
-        e_p[i, j] = vp
-    return EmissivityMap(omega_grid, theta_grid, e_s, e_p)
+    shape = (omega_grid.size, theta_grid.size, len(POLS))
+    rta = np.array([[(p.R, p.T, p.A) for p in pts] for pts in results]).reshape(shape + (3,))
+    return EmissivityMap(omega_grid, theta_grid, rta[..., 0], rta[..., 1], rta[..., 2])
 
 
 def planck_b(x):

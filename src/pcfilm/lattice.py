@@ -349,33 +349,6 @@ def lattice_sums_ewald(
     return tab
 
 
-def lattice_sums_direct(
-    lat: Lattice2D, k: complex, kpar, pmax: int, rmax: float = 60.0
-) -> dict:
-    """Brute-force S_{p,sigma} over |R| <= rmax (test oracle; needs Im k > 0)."""
-    kpar = np.asarray(kpar, dtype=float)
-    a1 = np.array(lat.a1)
-    a2 = np.array(lat.a2)
-    pairs = _lm_pairs(pmax)
-    tab = {key: 0.0 + 0.0j for key in pairs}
-    amin = min(np.linalg.norm(a1), np.linalg.norm(a2))
-    nbox = int(math.ceil(rmax / amin * 2.0)) + 2
-    for n1 in range(-nbox, nbox + 1):
-        for n2 in range(-nbox, nbox + 1):
-            if n1 == 0 and n2 == 0:
-                continue
-            rv = n1 * a1 + n2 * a2
-            r = math.hypot(rv[0], rv[1])
-            if r > rmax:
-                continue
-            h = sf.sph_hankel1(pmax, k * r)
-            ytab = sf.ylm_table(pmax, 0.0, 1.0, math.atan2(rv[1], rv[0]))
-            bloch = np.exp(1j * (kpar[0] * rv[0] + kpar[1] * rv[1]))
-            for L, M in pairs:
-                tab[(L, M)] += bloch * h[L] * ytab[L, M + pmax]
-    return tab
-
-
 @dataclass(frozen=True)
 class StructureConstants:
     """Lattice-summed VSWF translation operator at one (omega, kpar).
@@ -394,43 +367,16 @@ class StructureConstants:
 
 
 def structure_constants(
-    lat: Lattice2D,
-    omega: float,
-    kpar,
-    host: Material,
-    lmax: int,
-    eta: float | None = None,
-    method: str = "ewald",
+    lat: Lattice2D, omega: float, kpar, host: Material, lmax: int
 ) -> StructureConstants:
-    """Structure constants Omega for a plane of scatterers.
-
-    The last few results are kept (keyed on the folded kpar), so repeated
-    calls at one (omega, kpar) share a single StructureConstants.
-    """
+    """Structure constants Omega for a plane of scatterers, from Ewald lattice sums."""
     if omega <= 0:
         raise InvalidArgumentError(f"omega must be > 0, got {omega}")
     if lmax < 1:
         raise InvalidArgumentError(f"lmax must be >= 1, got {lmax}")
-    if method not in ("ewald", "direct"):
-        raise InvalidArgumentError(f"unknown method {method!r}")
     kf, _ = fold_to_zone(lat, kpar)
-    return _structure_constants(
-        lat, float(omega), float(kf[0]), float(kf[1]), host, lmax, eta, method
-    )
-
-
-@lru_cache(maxsize=4)
-def _structure_constants(
-    lat: Lattice2D, omega: float, kx: float, ky: float, host: Material, lmax: int,
-    eta: float | None, method: str,
-) -> StructureConstants:
-    k = host.wavenumber(omega)
-    pmax = 2 * lmax + 2
-    if method == "ewald":
-        s_table = lattice_sums_ewald(lat, k, (kx, ky), pmax, eta=eta)
-    else:
-        s_table = lattice_sums_direct(lat, k, (kx, ky), pmax)
-    w = vswf.translation_matrix(lmax, s_table)
+    s_table = lattice_sums_ewald(lat, host.wavenumber(omega), kf, 2 * lmax + 2)
     return StructureConstants(
-        omega=omega, kpar=(kx, ky), lmax=lmax, host=host, omega_mat=w, s_table=s_table
+        omega=float(omega), kpar=(float(kf[0]), float(kf[1])), lmax=lmax, host=host,
+        omega_mat=vswf.translation_matrix(lmax, s_table), s_table=s_table,
     )

@@ -120,10 +120,8 @@ class CrossSections:
     q_abs: float
     applicable: bool = True
 
-    NOT_APPLICABLE = None  # sentinel set below
 
-
-CrossSections.NOT_APPLICABLE = CrossSections(math.nan, math.nan, math.nan, applicable=False)
+NOT_APPLICABLE = CrossSections(math.nan, math.nan, math.nan, applicable=False)
 
 
 def mie_cross_sections(sphere: SphereScatterer, omega: float, lmax: int | None = None) -> CrossSections:
@@ -135,7 +133,7 @@ def mie_cross_sections(sphere: SphereScatterer, omega: float, lmax: int | None =
     if omega <= 0:
         raise InvalidArgumentError(f"omega must be > 0, got {omega}")
     if not sphere.host.lossless:
-        return CrossSections.NOT_APPLICABLE
+        return NOT_APPLICABLE
     if sphere.inside.eps == sphere.host.eps:
         return CrossSections(0.0, 0.0, 0.0)
     x = (sphere.host.wavenumber(omega) * sphere.radius).real

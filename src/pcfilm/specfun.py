@@ -13,7 +13,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -24,20 +23,6 @@ from .errors import InvalidArgumentError, SingularArgumentError
 # Default and hard cap for the multipole cutoff used by the physics modules.
 LMAX_DEFAULT = 7
 LMAX_CAP = 14
-
-
-@dataclass(frozen=True)
-class AngularIndex:
-    """Orbital/azimuthal index pair (l, m) with |m| <= l."""
-
-    l: int
-    m: int
-
-    def __post_init__(self):
-        if self.l < 0:
-            raise InvalidArgumentError(f"l must be >= 0, got {self.l}")
-        if abs(self.m) > self.l:
-            raise InvalidArgumentError(f"|m| <= l violated: l={self.l}, m={self.m}")
 
 
 def sph_bessel(lmax: int, z: complex) -> np.ndarray:
@@ -106,11 +91,6 @@ def sph_hankel1(lmax: int, z: complex) -> np.ndarray:
     return out
 
 
-def sph_neumann(lmax: int, z: complex) -> np.ndarray:
-    """Spherical Neumann functions y_0..y_lmax via y_l = (h_l - j_l)/i."""
-    return (sph_hankel1(lmax, z) - sph_bessel(lmax, z)) / 1j
-
-
 def zl_derivative(zl: np.ndarray, z: complex) -> np.ndarray:
     """Derivative of any spherical Bessel family from its value table.
 
@@ -123,29 +103,6 @@ def zl_derivative(zl: np.ndarray, z: complex) -> np.ndarray:
     ls = np.arange(1, lmax + 1)
     out[1:] = zl[:-1] - (ls + 1) / z * zl[1:]
     return out
-
-
-def assoc_legendre(lmax: int, x: float) -> np.ndarray:
-    """Unnormalized associated Legendre table P_l^m(x), 0 <= m <= l <= lmax.
-
-    Condon-Shortley phase included.  Entries with m > l are zero.
-    """
-    if lmax < 0:
-        raise InvalidArgumentError(f"lmax must be >= 0, got {lmax}")
-    x = float(x)
-    if not math.isfinite(x) or abs(x) > 1.0:
-        raise InvalidArgumentError(f"|x| <= 1 required, got {x!r}")
-    p = np.zeros((lmax + 1, lmax + 1))
-    s = math.sqrt(max(0.0, 1.0 - x * x))
-    p[0, 0] = 1.0
-    for m in range(1, lmax + 1):
-        p[m, m] = -(2 * m - 1) * s * p[m - 1, m - 1]
-    for m in range(lmax):
-        p[m + 1, m] = (2 * m + 1) * x * p[m, m]
-    for m in range(lmax + 1):
-        for l in range(m + 2, lmax + 1):
-            p[l, m] = ((2 * l - 1) * x * p[l - 1, m] - (l + m - 1) * p[l - 2, m]) / (l - m)
-    return p
 
 
 def legendre_normalized(lmax: int, ct, st) -> np.ndarray:
@@ -242,10 +199,6 @@ def _wigner3j(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int) -> float:
     return sign * float(total) * math.sqrt(float(norm))
 
 
-def wigner3j(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int) -> float:
-    return _wigner3j(j1, j2, j3, m1, m2, m3)
-
-
 @lru_cache(maxsize=200000)
 def clebsch_gordan(j1: int, m1: int, j2: int, m2: int, J: int, M: int) -> float:
     """<j1 m1; j2 m2 | J M> from the exact 3j symbol."""
@@ -254,35 +207,12 @@ def clebsch_gordan(j1: int, m1: int, j2: int, m2: int, J: int, M: int) -> float:
     return (-1) ** (j1 - j2 + M) * math.sqrt(2 * J + 1) * _wigner3j(j1, j2, J, m1, m2, -M)
 
 
-def gaunt(a1: AngularIndex, a2: AngularIndex, a3: AngularIndex) -> float:
-    """Gaunt integral int Y_{a1} Y_{a2} conj(Y_{a3}) dOmega.
-
-    Exact zero under any selection-rule violation (total function).
-    """
-    l1, m1 = a1.l, a1.m
-    l2, m2 = a2.l, a2.m
-    l3, m3 = a3.l, a3.m
-    if m3 != m1 + m2:
-        return 0.0
-    if l3 < abs(l1 - l2) or l3 > l1 + l2:
-        return 0.0
-    if (l1 + l2 + l3) % 2 != 0:
-        return 0.0
-    pref = math.sqrt((2 * l1 + 1) * (2 * l2 + 1) * (2 * l3 + 1) / (4.0 * math.pi))
-    return (
-        (-1) ** m3
-        * pref
-        * _wigner3j(l1, l2, l3, 0, 0, 0)
-        * _wigner3j(l1, l2, l3, m1, m2, -m3)
-    )
-
-
 def gaunt_lmm(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> float:
-    """Gaunt integral by bare indices (internal fast path, same definition)."""
-    if m3 != m1 + m2 or l3 < abs(l1 - l2) or l3 > l1 + l2 or (l1 + l2 + l3) % 2:
-        return 0.0
-    if abs(m1) > l1 or abs(m2) > l2 or abs(m3) > l3:
-        return 0.0
+    """Gaunt integral int Y_{l1 m1} Y_{l2 m2} conj(Y_{l3 m3}) dOmega.
+
+    Exact zero under any selection-rule violation (total function), because
+    _wigner3j is: odd l1 + l2 + l3 makes the (0, 0, 0) symbol vanish.
+    """
     pref = math.sqrt((2 * l1 + 1) * (2 * l2 + 1) * (2 * l3 + 1) / (4.0 * math.pi))
     return (
         (-1) ** m3

@@ -10,7 +10,7 @@ final interface onto the exit medium is appended automatically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,56 +121,50 @@ def repeat_slice(s: LayerS, n: int) -> LayerS:
     return acc
 
 
-def _stack_media(elements, ambient: Material):
-    """Walk the element list, yielding (element, ambient_at_element)."""
-    out = []
+@dataclass(frozen=True)
+class StackWalk:
+    """What a validated element sequence leaves behind.
+
+    ``exit`` is the ambient after the last element; ``media`` the set of eps
+    that fixes the beam cutoff (the first and last ambient, every ambient a
+    Repeat runs in, every plate material); ``plane`` the first sphere plane
+    in depth-first order, or None.
+    """
+
+    exit: Material
+    media: frozenset
+    plane: PlaneOfSpheres | None
+
+
+def walk_stack(elements, ambient: Material) -> StackWalk:
+    """Check every element against the ambient it sits in."""
+    media = {complex(ambient.eps)}
+    plane = None
     for el in elements:
         if isinstance(el, Interface):
             if el.left.eps != ambient.eps:
                 raise InvalidArgumentError(
                     f"interface left medium eps={el.left.eps} != ambient eps={ambient.eps}"
                 )
-            out.append((el, ambient))
             ambient = el.right
         elif isinstance(el, Repeat):
-            sub, amb_after = _stack_media(el.elements, ambient)
-            if amb_after.eps != ambient.eps:
+            sub = walk_stack(el.elements, ambient)
+            if sub.exit.eps != ambient.eps:
                 raise InvalidArgumentError("repeated sub-stack must preserve the ambient medium")
-            out.append((el, ambient))
+            media |= sub.media
+            plane = plane or sub.plane
         elif isinstance(el, PlaneOfSpheres):
             if el.scatterer.host.eps != ambient.eps:
                 raise InvalidArgumentError(
                     f"sphere plane host eps={el.scatterer.host.eps} != ambient eps={ambient.eps}"
                 )
-            out.append((el, ambient))
-        elif isinstance(el, (Gap, Plate)):
-            out.append((el, ambient))
-        else:
+            plane = plane or el
+        elif isinstance(el, Plate):
+            media.add(complex(el.material.eps))
+        elif not isinstance(el, Gap):
             raise InvalidArgumentError(f"unknown stack element {el!r}")
-    return out, ambient
-
-
-def _collect_media(elements, ambient: Material, acc: set):
-    acc.add(complex(ambient.eps))
-    walked, ambient_out = _stack_media(elements, ambient)
-    for el, amb in walked:
-        if isinstance(el, Plate):
-            acc.add(complex(el.material.eps))
-        if isinstance(el, Repeat):
-            _collect_media(el.elements, amb, acc)
-    acc.add(complex(ambient_out.eps))
-    return acc
-
-
-def _first_lattice(elements) -> Lattice2D | None:
-    for el in elements:
-        if isinstance(el, PlaneOfSpheres):
-            return el.lattice
-        if isinstance(el, Repeat):
-            found = _first_lattice(el.elements)
-            if found is not None:
-                return found
-    return None
+    media.add(complex(ambient.eps))
+    return StackWalk(ambient, frozenset(media), plane)
 
 
 class _LayerBuilder:
@@ -224,20 +218,31 @@ class _LayerBuilder:
             return ly.plate_smatrix(el, self.beams_in(ambient), ambient, ambient)
         if isinstance(el, PlaneOfSpheres):
             return self._sphere_plane(el)
-        if isinstance(el, Repeat):
-            sub = self.compose(el.elements, ambient)
-            return repeat_slice(sub, el.count)
-        raise InvalidArgumentError(f"unknown stack element {el!r}")
+        return repeat_slice(self.compose(el.elements, ambient), el.count)
 
     def compose(self, elements, ambient: Material) -> LayerS:
-        walked, _ = _stack_media(elements, ambient)
+        """Star product of a sequence that walk_stack has validated."""
         total = None
-        for el, amb in walked:
-            s = self.build(el, amb)
+        for el in elements:
+            s = self.build(el, ambient)
             total = s if total is None else star_product(total, s)
+            if isinstance(el, Interface):
+                ambient = el.right
         if total is None:
             total = identity_smatrix(self.beams_in(ambient), ambient)
         return total
+
+
+def _builder(elements, ambient, omega, kpar, controls, lat=None, exit_mat=None):
+    """Validate the elements, fix the beam cutoff, return (builder, exit ambient)."""
+    walk = walk_stack(elements, ambient)
+    media = walk.media if exit_mat is None else walk.media | {complex(exit_mat.eps)}
+    eps_max = max(abs(e) for e in media)
+    kpar = np.asarray(kpar, dtype=float)
+    cutoff = controls.resolved_cutoff(omega, eps_max, float(np.hypot(*kpar)))
+    if lat is None:
+        lat = walk.plane.lattice if walk.plane is not None else SQUARE
+    return _LayerBuilder(lat, omega, kpar, cutoff, controls.lmax), walk.exit
 
 
 def slice_smatrix(
@@ -253,13 +258,7 @@ def slice_smatrix(
     Used for unit slices of a periodic stacking (band structure) where no
     entrance/exit interfaces are wanted.
     """
-    media = _collect_media(elements, ambient, set())
-    eps_max = max(abs(e) for e in media)
-    kpar = np.asarray(kpar, dtype=float)
-    cutoff = controls.resolved_cutoff(omega, eps_max, float(np.hypot(*kpar)))
-    if lat is None:
-        lat = _first_lattice(elements) or SQUARE
-    builder = _LayerBuilder(lat, omega, kpar, cutoff, controls.lmax)
+    builder, _ = _builder(elements, ambient, omega, kpar, controls, lat)
     return builder.compose(elements, ambient)
 
 
@@ -267,17 +266,12 @@ def stack_smatrix(
     desc: StackDescription, omega: float, kpar, controls: NumericalControls
 ) -> LayerS:
     """Total S-matrix of the stack, including the final exit interface."""
-    _, last_ambient = _stack_media(desc.elements, desc.incident)
-    media = _collect_media(desc.elements, desc.incident, set())
-    media.add(complex(desc.exit.eps))
-    eps_max = max(abs(e) for e in media)
-    kpar = np.asarray(kpar, dtype=float)
-    cutoff = controls.resolved_cutoff(omega, eps_max, float(np.hypot(*kpar)))
-    lat = _first_lattice(desc.elements) or SQUARE
-    builder = _LayerBuilder(lat, omega, kpar, cutoff, controls.lmax)
+    builder, last = _builder(
+        desc.elements, desc.incident, omega, kpar, controls, exit_mat=desc.exit
+    )
     total = builder.compose(desc.elements, desc.incident)
-    if last_ambient.eps != desc.exit.eps:
-        tail = ly.interface_smatrix(last_ambient, desc.exit, builder.beams_in(last_ambient))
+    if last.eps != desc.exit.eps:
+        tail = ly.interface_smatrix(last, desc.exit, builder.beams_in(last))
         total = star_product(total, tail)
     return total
 

@@ -66,15 +66,6 @@ def n_scalar(lam_max: int) -> int:
     return (lam_max + 1) ** 2
 
 
-def _ab(l: int):
-    """Radial mixing coefficients of N_lm (and the gradient wave)."""
-    al = 1j * math.sqrt((l + 1) / (2.0 * l + 1.0))
-    bl = -1j * math.sqrt(l / (2.0 * l + 1.0))
-    cl = math.sqrt(l / (2.0 * l + 1.0))
-    dl = math.sqrt((l + 1) / (2.0 * l + 1.0))
-    return al, bl, cl, dl
-
-
 @lru_cache(maxsize=8)
 def _scalar_index_arrays(lam_max: int):
     """(l, m) of every scalar channel, aligned with sidx ordering."""
@@ -92,18 +83,6 @@ def ylm_flat(lmax: int, ct, st, phi) -> np.ndarray:
     tab = sf.ylm_table(lmax, ct, st, phi)
     lidx, midx = _scalar_index_arrays(lmax)
     return tab[..., lidx, midx + lmax]
-
-
-def vector_harmonic(l: int, j: int, m: int, yflat: np.ndarray) -> np.ndarray:
-    """Cartesian 3-vector Yv[l,j,m] from a flat Y table of order >= j."""
-    v = np.zeros(3, dtype=complex)
-    for q in (-1, 0, 1):
-        if abs(m - q) > j:
-            continue
-        cg = sf.clebsch_gordan(j, m - q, 1, q, l, m)
-        if cg:
-            v = v + cg * yflat[sidx(j, m - q)] * E_SPH[q]
-    return v
 
 
 def plane_wave_coeffs(lmax: int, ct, st, phi, evec) -> tuple[np.ndarray, np.ndarray]:
@@ -154,40 +133,65 @@ def _contract(yflat: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return flat.reshape(yflat.shape[:-1] + mats.shape[:-1])
 
 
+def _coupling(lmax: int):
+    """Clebsch-Gordan table and radial mixing factors of the vector channels.
+
+    Returns (U, emb, rec), all indexed [..., channel, scalar] over the 2 nlm
+    channels (magnetic, then electric) and the scalar channels (lam, nu),
+    lam <= lmax + 1:
+
+    * U[q + 1, (l, m), (j, m - q)] = <j, m-q; 1, q | l, m> for j = l, l +- 1,
+      the same for the M and the E row of (l, m);
+    * emb, the factor of Yv[l,lam,m] in (M_lm; N_lm): 1 at lam = l in M rows,
+      i d_l at lam = l - 1 and -i c_l at lam = l + 1 in E rows, 0 elsewhere,
+      with c_l = sqrt(l/(2l+1)) and d_l = sqrt((l+1)/(2l+1)) (module doc);
+    * rec, the same for the inverse map (M; N, grad) -> (aM; aE): 1 at
+      lam = l, -i d_l at lam = l - 1, i c_l at lam = l + 1.
+    """
+    nv = nlm(lmax)
+    u = np.zeros((3, nv, n_scalar(lmax + 1)))
+    fac = np.zeros((2, 2, lmax + 1, lmax + 2), dtype=complex)  # [emb/rec, M/E, l, lam]
+    for l in range(1, lmax + 1):
+        cl = math.sqrt(l / (2.0 * l + 1.0))
+        dl = math.sqrt((l + 1) / (2.0 * l + 1.0))
+        fac[:, 0, l, l] = 1.0
+        fac[0, 1, l, l - 1], fac[0, 1, l, l + 1] = 1j * dl, -1j * cl
+        fac[1, 1, l, l - 1], fac[1, 1, l, l + 1] = -1j * dl, 1j * cl
+        for m in range(-l, l + 1):
+            for q in (-1, 0, 1):
+                for j in (l - 1, l, l + 1):
+                    if abs(m - q) <= j:
+                        u[q + 1, lm_index(l, m), sidx(j, m - q)] = sf.clebsch_gordan(
+                            j, m - q, 1, q, l, m
+                        )
+    lch = np.array([l for l, _ in lm_list(lmax)])
+    lam = _scalar_index_arrays(lmax + 1)[0]
+    emb, rec = fac[:, :, lch][..., lam].reshape(2, 2 * nv, lam.size)
+    return np.concatenate([u, u], axis=1), emb, rec
+
+
+def _unsigned_zeros(a: np.ndarray) -> np.ndarray:
+    """a with every -0.0 part made +0.0, as if accumulated into np.zeros."""
+    return 0.0 + a
+
+
+def _ipow(lam: np.ndarray, base: complex) -> np.ndarray:
+    """base**lam elementwise, each power taken as Python's complex power."""
+    return np.array([base**n for n in range(lam.max() + 1)])[lam]
+
+
 @lru_cache(maxsize=8)
 def _pw_matrices(lmax: int) -> np.ndarray:
     """Per-component matrices P_q with (aM; aE) = sum_q e^q P_q Ybar.
 
-    Encodes the Clebsch-Gordan contraction of plane_wave_coeffs once per
-    lmax; the electric rows already invert the 2x2 (N, grad) block, whose
-    determinant is exactly i.  Stacked as (3, 2 nlm, n_scalar), P_q at q + 1.
+    The plane-wave expansion e^{iK.r} = 4 pi sum i^lam Ybar j_lam Y contracted
+    with the Clebsch-Gordan table; the electric rows already invert the 2x2
+    (N, grad) block, whose determinant is exactly i.  Stacked as
+    (3, 2 nlm, n_scalar), P_q at q + 1.
     """
-    lam_max = lmax + 1
-    nv = nlm(lmax)
-    mats = np.zeros((3, 2 * nv, n_scalar(lam_max)), dtype=complex)
-    for l in range(1, lmax + 1):
-        al, bl, cl, dl = _ab(l)
-        for m in range(-l, l + 1):
-            i = lm_index(l, m)
-            for q in (-1, 0, 1):
-                nu = m - q
-                if abs(nu) <= l:
-                    cg = sf.clebsch_gordan(l, nu, 1, q, l, m)
-                    if cg:
-                        mats[q + 1, i, sidx(l, nu)] += 4.0 * math.pi * (1j) ** l * cg
-                if abs(nu) <= l - 1:
-                    cg = sf.clebsch_gordan(l - 1, nu, 1, q, l, m)
-                    if cg:
-                        mats[q + 1, i + nv, sidx(l - 1, nu)] += (
-                            -1j * dl * 4.0 * math.pi * (1j) ** (l - 1) * cg
-                        )
-                if abs(nu) <= l + 1:
-                    cg = sf.clebsch_gordan(l + 1, nu, 1, q, l, m)
-                    if cg:
-                        mats[q + 1, i + nv, sidx(l + 1, nu)] += (
-                            1j * cl * 4.0 * math.pi * (1j) ** (l + 1) * cg
-                        )
-    return mats
+    u, _, rec = _coupling(lmax)
+    lam = _scalar_index_arrays(lmax + 1)[0]
+    return _unsigned_zeros(rec * 4.0 * math.pi * _ipow(lam, 1j) * u)
 
 
 @lru_cache(maxsize=8)
@@ -197,27 +201,12 @@ def out_tensor(lmax: int):
     Q[axis, channel, scalar] with amplitude = c_pref * (Q @ yflat) @ (bM; bE),
     where yflat = ylm_flat(lmax + 1, ...) for the outgoing direction.
     """
-    lam_max = lmax + 1
-    nv = nlm(lmax)
-    q3 = np.zeros((3, 2 * nv, n_scalar(lam_max)), dtype=complex)
-    for l in range(1, lmax + 1):
-        al, bl, _, _ = _ab(l)
-        for m in range(-l, l + 1):
-            i = lm_index(l, m)
-            for q in (-1, 0, 1):
-                nu = m - q
-                if abs(nu) <= l:
-                    cg = sf.clebsch_gordan(l, nu, 1, q, l, m)
-                    if cg:
-                        q3[:, i, sidx(l, nu)] += (-1j) ** l * cg * E_SPH[q]
-                if abs(nu) <= l - 1:
-                    cg = sf.clebsch_gordan(l - 1, nu, 1, q, l, m)
-                    if cg:
-                        q3[:, i + nv, sidx(l - 1, nu)] += (-1j) ** (l - 1) * al * cg * E_SPH[q]
-                if abs(nu) <= l + 1:
-                    cg = sf.clebsch_gordan(l + 1, nu, 1, q, l, m)
-                    if cg:
-                        q3[:, i + nv, sidx(l + 1, nu)] += (-1j) ** (l + 1) * bl * cg * E_SPH[q]
+    u, emb, _ = _coupling(lmax)
+    lam = _scalar_index_arrays(lmax + 1)[0]
+    t = _ipow(lam, -1j) * emb * u
+    q3 = np.zeros((3,) + t.shape[1:], dtype=complex)
+    for q in (-1, 0, 1):
+        q3 += np.multiply.outer(E_SPH[q], t[q + 1])
     return q3
 
 
@@ -227,7 +216,9 @@ def _scalar_contraction(lam_max: int):
 
     Omega[(lam,nu),(lam',nu')] = 4 pi sum_p i^{lam+p-lam'} (-1)^p
                                  G(lam,nu; p,nu'-nu; lam',nu') S_{p,nu'-nu}
-    Returns dict (p, sigma) -> (rows, cols, coefs).
+    Returns (keys, rows, cols, coefs, key): term t adds coefs[t] times the
+    sum keys[key[t]] = (p, sigma) at (rows[t], cols[t]), grouped by key in
+    the order the keys first occur.
     """
     recipe = {}
     for lam in range(lam_max + 1):
@@ -252,10 +243,10 @@ def _scalar_contraction(lam_max: int):
                         rows.append(r)
                         cols.append(c)
                         coefs.append(coef)
-    return {
-        key: (np.array(r), np.array(c), np.array(v))
-        for key, (r, c, v) in recipe.items()
-    }
+    keys = list(recipe)
+    rows, cols, coefs = (np.concatenate([recipe[k][i] for k in keys]) for i in range(3))
+    key = np.repeat(np.arange(len(keys)), [len(recipe[k][0]) for k in keys])
+    return keys, rows, cols, coefs, key
 
 
 def omega_scalar(lam_max: int, s_table: dict) -> np.ndarray:
@@ -263,12 +254,11 @@ def omega_scalar(lam_max: int, s_table: dict) -> np.ndarray:
 
     s_table maps (p, sigma) -> sum_{R != 0} e^{i kpar.R} h_p(k R) Y_{p,sigma}(Rhat).
     """
+    keys, rows, cols, coefs, key = _scalar_contraction(lam_max)
+    s = np.array([s_table.get(k, 0.0) for k in keys], dtype=complex)
     ns = n_scalar(lam_max)
     omega = np.zeros((ns, ns), dtype=complex)
-    for (p, sigma), (rows, cols, coefs) in _scalar_contraction(lam_max).items():
-        s = s_table.get((p, sigma), 0.0)
-        if s != 0.0:
-            np.add.at(omega, (rows, cols), coefs * s)
+    np.add.at(omega, (rows, cols), coefs * s[key])
     return omega
 
 
@@ -276,37 +266,12 @@ def omega_scalar(lam_max: int, s_table: dict) -> np.ndarray:
 def _vector_maps(lmax: int):
     """Embed/reconstruct maps between VSWF channels and scalar channels.
 
-    E_q: (n_scalar x nlm x 2 pol) embedding of outgoing VSWFs into scalar
-    channels for each q; R_q: reconstruction of regular VSWF amplitudes.
+    embed[q + 1]: (n_scalar x 2 nlm) embedding of outgoing VSWFs into scalar
+    channels; recon[q + 1]: reconstruction of regular VSWF amplitudes.
     """
-    lam_max = lmax + 1
-    ns = n_scalar(lam_max)
-    nv = nlm(lmax)
-    embed = {q: np.zeros((ns, 2 * nv), dtype=complex) for q in (-1, 0, 1)}
-    recon = {q: np.zeros((2 * nv, ns), dtype=complex) for q in (-1, 0, 1)}
-    for l in range(1, lmax + 1):
-        al, bl, cl, dl = _ab(l)
-        for m in range(-l, l + 1):
-            iM = lm_index(l, m)
-            iE = iM + nv
-            for q in (-1, 0, 1):
-                nu = m - q
-                if abs(nu) <= l:
-                    cg = sf.clebsch_gordan(l, nu, 1, q, l, m)
-                    if cg:
-                        embed[q][sidx(l, nu), iM] += cg
-                        recon[q][iM, sidx(l, nu)] += cg
-                if abs(nu) <= l - 1:
-                    cg = sf.clebsch_gordan(l - 1, nu, 1, q, l, m)
-                    if cg:
-                        embed[q][sidx(l - 1, nu), iE] += al * cg
-                        recon[q][iE, sidx(l - 1, nu)] += -1j * dl * cg
-                if abs(nu) <= l + 1:
-                    cg = sf.clebsch_gordan(l + 1, nu, 1, q, l, m)
-                    if cg:
-                        embed[q][sidx(l + 1, nu), iE] += bl * cg
-                        recon[q][iE, sidx(l + 1, nu)] += 1j * cl * cg
-    return embed, recon
+    u, emb, rec = _coupling(lmax)
+    embed = np.ascontiguousarray((emb * u).transpose(0, 2, 1))
+    return _unsigned_zeros(embed), _unsigned_zeros(rec * u)
 
 
 def translation_matrix(lmax: int, s_table: dict) -> np.ndarray:
@@ -320,6 +285,6 @@ def translation_matrix(lmax: int, s_table: dict) -> np.ndarray:
     embed, recon = _vector_maps(lmax)
     nv2 = 2 * nlm(lmax)
     w = np.zeros((nv2, nv2), dtype=complex)
-    for q in (-1, 0, 1):
+    for q in range(3):
         w += recon[q] @ omega @ embed[q]
     return w

@@ -3,7 +3,10 @@
 Everything here deliberately avoids the package's own special-function and
 summation code: radial functions come from mpmath (half-integer Bessel),
 spherical harmonics from scipy.special, and the Mie channels from a direct
-boundary-condition solve instead of the ratio formulas.
+boundary-condition solve instead of the ratio formulas.  The exceptions are
+at the end of the file: ``sph_neumann`` combines the package's h and j so a
+Wronskian can test them, and ``assoc_legendre`` is a plain recursion whose
+tests pin it against an explicit polynomial expansion.
 """
 
 from __future__ import annotations
@@ -14,6 +17,9 @@ import math
 import mpmath as mp
 import numpy as np
 from scipy.special import roots_legendre
+
+from pcfilm.errors import InvalidArgumentError
+from pcfilm.specfun import sph_bessel, sph_hankel1
 
 try:
     from scipy.special import sph_harm_y as _sph_harm_y
@@ -136,25 +142,32 @@ def smooth_window(r: np.ndarray, rmax: float, start: float = 0.75) -> np.ndarray
     return s1 / (s0 + s1)
 
 
-def direct_lattice_sums(k: complex, kpar, keys, rmax: float, windowed: bool = True) -> dict:
-    """Independent direct sums S_{p sigma} over the unit square lattice.
+def direct_lattice_sums(
+    k: complex, kpar, keys, rmax: float, windowed: bool = True, a1=(1.0, 0.0), a2=(0.0, 1.0)
+) -> dict:
+    """Independent direct sums S_{p sigma} over the lattice spanned by a1, a2.
 
     Absolutely convergent for Im k > 0; the smooth window only accelerates
-    the truncation.  Summed row-by-row to bound memory.
+    the truncation.  Summed row-by-row (fixed n2) to bound memory.
     """
-    n = int(math.ceil(rmax)) + 1
+    a1 = np.asarray(a1, dtype=float)
+    a2 = np.asarray(a2, dtype=float)
+    cross = abs(a1[0] * a2[1] - a1[1] * a2[0])
+    # |n_i| <= rmax / (spacing of the lattice lines along a_i) for |R| <= rmax
+    n = int(math.ceil(rmax * max(np.linalg.norm(a1), np.linalg.norm(a2)) / cross)) + 1
     tot = {key: 0.0 + 0.0j for key in keys}
     for row in range(-n, n + 1):
         g1 = np.arange(-n, n + 1, dtype=float)
-        g2 = np.full_like(g1, float(row))
         if row == 0:
             g1 = g1[g1 != 0]
-            g2 = np.zeros_like(g1)
-        r = np.hypot(g1, g2)
+        g2 = np.full_like(g1, float(row))
+        rx = g1 * a1[0] + g2 * a2[0]
+        ry = g1 * a1[1] + g2 * a2[1]
+        r = np.hypot(rx, ry)
         sel = r <= rmax
         if not sel.any():
             continue
-        rx, ry, r = g1[sel], g2[sel], r[sel]
+        rx, ry, r = rx[sel], ry[sel], r[sel]
         ph = np.exp(1j * (kpar[0] * rx + kpar[1] * ry))
         if windowed:
             ph = ph * smooth_window(r, rmax)
@@ -164,6 +177,11 @@ def direct_lattice_sums(k: complex, kpar, keys, rmax: float, windowed: bool = Tr
             y = _ylm(sig, p, phi, math.pi / 2)
             tot[(p, sig)] += complex(np.sum(ph * h1_closed(p, z) * y))
     return tot
+
+
+def lattice_sum_keys(pmax: int) -> list:
+    """All (p, sigma) with p <= pmax and p + sigma even (the nonzero sums)."""
+    return [(p, s) for p in range(pmax + 1) for s in range(-p, p + 1) if (p + s) % 2 == 0]
 
 
 def damped_extrapolated_sums(k0: float, kpar, keys, n_nodes: int = 12) -> dict:
@@ -206,3 +224,35 @@ def fresnel_power_reflectance(eps: complex) -> float:
         n = -n
     r = (1 - n) / (1 + n)
     return abs(r) ** 2
+
+
+def sph_neumann(lmax: int, z: complex) -> np.ndarray:
+    """Spherical Neumann functions y_0..y_lmax via y_l = (h_l - j_l)/i.
+
+    Built from the package's own h and j, so a Wronskian W(j, y) = 1/z^2
+    checks the pair against each other.
+    """
+    return (sph_hankel1(lmax, z) - sph_bessel(lmax, z)) / 1j
+
+
+def assoc_legendre(lmax: int, x: float) -> np.ndarray:
+    """Unnormalized associated Legendre table P_l^m(x), 0 <= m <= l <= lmax.
+
+    Condon-Shortley phase included.  Entries with m > l are zero.
+    """
+    if lmax < 0:
+        raise InvalidArgumentError(f"lmax must be >= 0, got {lmax}")
+    x = float(x)
+    if not math.isfinite(x) or abs(x) > 1.0:
+        raise InvalidArgumentError(f"|x| <= 1 required, got {x!r}")
+    p = np.zeros((lmax + 1, lmax + 1))
+    s = math.sqrt(max(0.0, 1.0 - x * x))
+    p[0, 0] = 1.0
+    for m in range(1, lmax + 1):
+        p[m, m] = -(2 * m - 1) * s * p[m - 1, m - 1]
+    for m in range(lmax):
+        p[m + 1, m] = (2 * m + 1) * x * p[m, m]
+    for m in range(lmax + 1):
+        for l in range(m + 2, lmax + 1):
+            p[l, m] = ((2 * l - 1) * x * p[l - 1, m] - (l + m - 1) * p[l - 2, m]) / (l - m)
+    return p

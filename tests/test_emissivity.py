@@ -8,17 +8,10 @@ import numpy as np
 import pytest
 
 from oracles import fresnel_power_reflectance
-from pcfilm.emissivity import (
-    PLANCK_PEAK_X,
-    angular_map,
-    emissivity_point,
-    planck_b,
-    planck_weight,
-)
-from pcfilm.errors import PcfilmError
+from pcfilm.emissivity import PLANCK_PEAK_X, GridPointError, angular_map, planck_b, planck_weight
 from pcfilm.layer import Plate
 from pcfilm.mie import Material, VACUUM
-from pcfilm.stack import NumericalControls, StackDescription
+from pcfilm.stack import NumericalControls, StackDescription, solve_stack
 
 LOSSY_STACK = StackDescription(
     (Plate(0.6, Material(2.6)), Plate(0.81, Material(1.44))),
@@ -66,19 +59,22 @@ class TestPlanck:
 class TestEmissivityPoint:
     def test_lossless_scene_emits_nothing(self):
         desc = StackDescription((Plate(0.6, Material(2.6)), Plate(0.81, Material(1.44))))
-        assert emissivity_point(desc, 1.1, 0.2, "s") == pytest.approx(0.0, abs=1e-10)
+        assert solve_stack(desc, 1.1, 0.2, 0.0, "s").A == pytest.approx(0.0, abs=1e-10)
 
     def test_bare_substrate(self):
         desc = StackDescription((), exit=Material(12.0 + 7.0j))
-        e = emissivity_point(desc, 0.9, 0.0, "p")
+        e = solve_stack(desc, 0.9, 0.0, 0.0, "p").A
         assert e == pytest.approx(1.0 - fresnel_power_reflectance(12.0 + 7.0j), abs=1e-12)
 
 
 class TestAngularMap:
     def test_single_point_wraps(self):
         m = angular_map(LOSSY_STACK, [1.1], [0.3])
-        assert m.e_s[0, 0] == pytest.approx(emissivity_point(LOSSY_STACK, 1.1, 0.3, "s"), abs=1e-14)
-        assert m.e_p[0, 0] == pytest.approx(emissivity_point(LOSSY_STACK, 1.1, 0.3, "p"), abs=1e-14)
+        for k, pol in enumerate("sp"):
+            p = solve_stack(LOSSY_STACK, 1.1, 0.3, 0.0, pol)
+            assert (m.R[0, 0, k], m.T[0, 0, k], m.A[0, 0, k]) == (p.R, p.T, p.A)
+        assert m.e_s[0, 0] == m.A[0, 0, 0]
+        assert m.e_p[0, 0] == m.A[0, 0, 1]
 
     def test_average_exact(self):
         m = angular_map(LOSSY_STACK, [0.9, 1.2], [0.0, 0.4])
@@ -108,5 +104,7 @@ class TestAngularMap:
         # an impossibly small beam cutoff fails inside the solve; the map
         # must surface the offending grid point
         bad = NumericalControls(lmax=2, cutoff=0.01)
-        with pytest.raises(PcfilmError, match="omega"):
-            angular_map(LOSSY_STACK, [1.25], [0.37], controls=bad)
+        with pytest.raises(GridPointError, match="omega=1.25, theta=") as exc:
+            angular_map(LOSSY_STACK, [1.25], [math.radians(30.0)], controls=bad)
+        assert exc.value.index == (0, 0)
+        assert f"theta={math.degrees(math.radians(30.0))} deg: " in str(exc.value)

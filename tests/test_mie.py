@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from oracles import mie_efficiencies, mie_oracle
 from pcfilm.errors import InvalidArgumentError
 from pcfilm.mie import (
-    CrossSections,
+    NOT_APPLICABLE,
     Material,
     SphereScatterer,
     branch_sqrt,
@@ -146,7 +146,7 @@ class TestCrossSections:
     def test_lossy_host_not_applicable(self):
         cs = mie_cross_sections(SphereScatterer(0.3, Material(1.0), Material(12.0 + 0.1j)), 2.0)
         assert not cs.applicable
-        assert cs is CrossSections.NOT_APPLICABLE
+        assert cs is NOT_APPLICABLE
 
     def test_lossy_sphere_vs_oracle(self):
         cs = mie_cross_sections(SphereScatterer(0.3, Material(4.0 + 0.5j), Material(1.0)), 2.0)

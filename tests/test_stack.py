@@ -12,15 +12,24 @@ from hypothesis import strategies as st
 from oracles import fresnel_power_reflectance
 from pcfilm.errors import InvalidArgumentError
 from pcfilm.lattice import SQUARE, beam_set
-from pcfilm.layer import Plate, gap_smatrix, identity_smatrix, plate_smatrix, star_product
-from pcfilm.mie import Material, VACUUM
+from pcfilm.layer import (
+    Plate,
+    PlaneOfSpheres,
+    gap_smatrix,
+    identity_smatrix,
+    plate_smatrix,
+    star_product,
+)
+from pcfilm.mie import Material, SphereScatterer, VACUUM
 from pcfilm.onedim import OneDimLayer, solve_onedim
 from pcfilm.stack import (
     Gap,
+    Interface,
     NumericalControls,
     Repeat,
     StackDescription,
     repeat_slice,
+    slice_smatrix,
     solve_stack,
     solve_stack_points,
 )
@@ -213,3 +222,28 @@ class TestSolveStack:
         omega = float(scene.omega_internal(np.array([2.27]))[0])
         ps, pp = solve_stack_points(desc, omega, 0.0, 0.0, ("s", "p"), scene.controls())
         assert min(ps.E, pp.E) < 0.2
+
+
+def _bad_stacks():
+    """Element sequences in a vacuum ambient that the stack walk must reject."""
+    dense = Material(4.0)
+    sphere_in_dense = SphereScatterer(0.2, Material(2.0), dense)
+    return {
+        "interface-left-not-ambient": (Interface(dense, VACUUM),),
+        "sphere-host-not-ambient": (PlaneOfSpheres(SQUARE, sphere_in_dense),),
+        "repeat-changes-ambient": (Repeat((Interface(VACUUM, dense),), 2),),
+        "unknown-element": (Gap(0.1), "plate"),
+    }
+
+
+class TestWalkChecks:
+    @pytest.mark.parametrize("case", sorted(_bad_stacks()))
+    def test_solve_stack_rejects(self, case):
+        desc = StackDescription(_bad_stacks()[case])
+        with pytest.raises(InvalidArgumentError):
+            solve_stack(desc, OM, 0.0, 0.0, "s")
+
+    @pytest.mark.parametrize("case", sorted(_bad_stacks()))
+    def test_slice_smatrix_rejects(self, case):
+        with pytest.raises(InvalidArgumentError):
+            slice_smatrix(_bad_stacks()[case], VACUUM, OM, (0.0, 0.0), NumericalControls(lmax=2))
