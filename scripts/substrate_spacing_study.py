@@ -12,25 +12,14 @@ import math
 import sys
 
 import pcfilm.scenes as sc
+from pcfilm.band import true_runs
 from pcfilm.emissivity import angular_map
 
 DZ = math.sqrt(2.0) / 4.0
 
 
 def gap_center(om_disp, e_avg, threshold=0.2):
-    below = e_avg < threshold
-    best = None
-    i = 0
-    while i < below.size:
-        if below[i]:
-            j = i
-            while j + 1 < below.size and below[j + 1]:
-                j += 1
-            if best is None or (j - i) > (best[1] - best[0]):
-                best = (i, j)
-            i = j + 1
-        else:
-            i += 1
+    best = max(true_runs(e_avg < threshold), key=lambda r: r[1] - r[0], default=None)
     if best is None:
         return None
     return 0.5 * (om_disp[best[0]] + om_disp[best[1]])

@@ -116,6 +116,14 @@ def overlap_permutation(prev: BandPoint, cur: BandPoint) -> np.ndarray:
     return np.array(out, dtype=int)
 
 
+def true_runs(mask) -> list[tuple[int, int]]:
+    """(first, last) index of every maximal run of True in ``mask``, in order."""
+    steps = np.diff(np.concatenate([[0], np.asarray(mask, dtype=np.int8), [0]]))
+    starts = np.flatnonzero(steps == 1)
+    ends = np.flatnonzero(steps == -1) - 1
+    return list(zip(starts.tolist(), ends.tolist()))
+
+
 def gap_edges(scan, refine=None, tol: float = 1e-4):
     """Maximal omega intervals of a monotone scan with no propagating branch.
 
@@ -141,16 +149,9 @@ def gap_edges(scan, refine=None, tol: float = 1e-4):
         return 0.5 * (lo + hi)
 
     gaps = []
-    i = 0
-    while i < len(scan):
-        if in_gap[i]:
-            j = i
-            while j + 1 < len(scan) and in_gap[j + 1]:
-                j += 1
-            lo = scan[i].omega if i == 0 else edge(scan[i - 1].omega, scan[i].omega)
-            hi = scan[j].omega if j == len(scan) - 1 else edge(scan[j + 1].omega, scan[j].omega)
-            gaps.append((lo, hi))
-            i = j + 1
-        else:
-            i += 1
+    for i, j in true_runs(in_gap):
+        lo = scan[i].omega if i == 0 else edge(scan[i - 1].omega, scan[i].omega)
+        hi = scan[j].omega if j == len(scan) - 1 else edge(scan[j + 1].omega, scan[j].omega)
+        gaps.append((lo, hi))
     return gaps
+

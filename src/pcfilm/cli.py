@@ -11,14 +11,15 @@ import argparse
 import dataclasses
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import band as bd
 from . import scenes as sc
-from .emissivity import PLANCK_PEAK_X, POLS, GridPointError, angular_map, planck_b, planck_weight
+from .emissivity import (
+    PLANCK_PEAK_X, POLS, GridPointError, angular_map, planck_b, planck_weight, run_grid,
+)
 from .errors import PcfilmError
 from .layer import Plate
 from .mie import Material, SphereScatterer, mie_cross_sections, mie_t
@@ -120,15 +121,17 @@ def cmd_band(scene: sc.Scene, out: Path, threads: int) -> list[Path]:
             controls, cutoff=controls.resolved_cutoff(float(om_int[-1]), eps_max, 0.0)
         )
 
-    def point(om):
+    def point(task):
+        om = om_int[task[0]]
         s = slice_smatrix(unit, ambient, om, (0.0, 0.0), controls, lat)
         return bd.complex_bands(s, period, om, (0.0, 0.0))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = list(pool.map(point, om_int))
-    else:
-        points = [point(om) for om in om_int]
+    tasks = [(i,) for i in range(om_int.size)]
+    try:
+        points = run_grid(point, tasks, threads, lambda t: f"band failed at omega={om_int[t[0]]}")
+    except GridPointError as exc:
+        (i,) = exc.index
+        raise PcfilmError(f"band failed at omega={om_disp[i]}: {exc.__cause__}") from exc
     # eigenvector-overlap continuation: label branches consistently along the scan
     rows = []
     prev = None

@@ -51,11 +51,31 @@ class EmissivityMap:
 
 
 class GridPointError(PcfilmError):
-    """A point of angular_map failed; ``index`` is its (omega, theta) grid index."""
+    """A point of a grid run failed; ``index`` is its grid index tuple."""
 
     def __init__(self, message, index):
         super().__init__(message)
         self.index = index
+
+
+def run_grid(point, tasks, threads: int, describe) -> list:
+    """[point(task) for task in tasks] on ``threads`` threads, in task order.
+
+    Each task is a grid index tuple.  A PcfilmError raised by a point becomes
+    a GridPointError carrying its task as ``index`` and the failure as its
+    cause, with the message ``describe(task): <failure>``.
+    """
+
+    def work(task):
+        try:
+            return point(task)
+        except PcfilmError as exc:
+            raise GridPointError(f"{describe(task)}: {exc}", task) from exc
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(work, tasks))
+    return [work(t) for t in tasks]
 
 
 def angular_map(
@@ -78,23 +98,17 @@ def angular_map(
         raise InvalidArgumentError("grids must be nonempty")
     tasks = [(i, j) for i in range(omega_grid.size) for j in range(theta_grid.size)]
 
-    def work(task):
+    def point(task):
         i, j = task
-        try:
-            # both polarizations share one stack S-matrix
-            return solve_stack_points(desc, omega_grid[i], theta_grid[j], phi, POLS, controls)
-        except PcfilmError as exc:
-            raise GridPointError(
-                f"emissivity failed at omega={omega_grid[i]}, "
-                f"theta={math.degrees(theta_grid[j])} deg: {exc}",
-                task,
-            ) from exc
+        # both polarizations share one stack S-matrix
+        return solve_stack_points(desc, omega_grid[i], theta_grid[j], phi, POLS, controls)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, tasks))
-    else:
-        results = [work(t) for t in tasks]
+    def describe(task):
+        i, j = task
+        theta_deg = math.degrees(theta_grid[j])
+        return f"emissivity failed at omega={omega_grid[i]}, theta={theta_deg} deg"
+
+    results = run_grid(point, tasks, threads, describe)
     shape = (omega_grid.size, theta_grid.size, len(POLS))
     rta = np.array([[(p.R, p.T, p.A) for p in pts] for pts in results]).reshape(shape + (3,))
     return EmissivityMap(omega_grid, theta_grid, rta[..., 0], rta[..., 1], rta[..., 2])

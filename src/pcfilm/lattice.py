@@ -273,15 +273,11 @@ def lattice_sums_ewald(
     pairs = _lm_pairs(pmax)
     lidx, midx, (start, n_of, power, coef), pair_norm, yvec0 = _pair_tables(pmax)
     pref1 = pair_norm / (area * k * (-2 * k) ** lidx)
-    vec = np.zeros(len(pairs), dtype=complex)
-
-    # reciprocal-space part
     nmax = pmax // 2
     gexp = 2 * np.arange(nmax + 1) - 1
-    quiet = 0
-    norm = 0.0
-    for s in range(0, 200):
-        n1, n2 = _shell(s)
+    pref2 = -2j / (k * math.sqrt(math.pi))
+
+    def reciprocal(n1, n2):
         kg = kpar + n1[:, None] * b1 + n2[:, None] * b2
         kt = np.hypot(kg[:, 0], kg[:, 1])
         phig = np.arctan2(kg[:, 1], kg[:, 0])
@@ -297,50 +293,40 @@ def lattice_sums_ewald(
         gpow = gam[:, None] ** gexp
         ktpow = kt[:, None] ** np.arange(pmax + 1)
         inner = np.add.reduceat(coef * (gtab * gpow)[:, n_of] * ktpow[:, power], start, axis=1)
-        terms = pref1 * _azimuth_phases(phig, midx, pmax) * inner
-        vec += terms.sum(axis=0)
-        ring = float(np.max(np.abs(terms)))
-        norm = max(norm, float(np.max(np.abs(vec))))
-        if s > 0 and ring < tol * max(1.0, norm):
-            quiet += 1
-            if quiet >= 2:
-                break
-        else:
-            quiet = 0
-    else:
-        raise ConvergenceError(
-            "reciprocal-space Ewald sum did not converge",
-            {"eta": eta, "k": k, "kpar": tuple(kpar), "ring": ring},
-        )
+        return pref1 * _azimuth_phases(phig, midx, pmax) * inner
 
-    # real-space part
-    pref2 = -2j / (k * math.sqrt(math.pi))
-    quiet = 0
-    for s in range(1, 200):
-        n1, n2 = _shell(s)
+    def real(n1, n2):
         rv = n1[:, None] * a1 + n2[:, None] * a2
         r = np.hypot(rv[:, 0], rv[:, 1])
         phi = np.arctan2(rv[:, 1], rv[:, 0])
         itab = _tail_integrals(pmax, r, k, eta)
         bloch = np.exp(1j * (kpar[0] * rv[:, 0] + kpar[1] * rv[:, 1]))
         rpow = (2 * r[:, None] / k) ** np.arange(pmax + 1)
-        terms = (pref2 * bloch[:, None] * rpow * itab)[:, lidx] * yvec0 * _azimuth_phases(
+        return (pref2 * bloch[:, None] * rpow * itab)[:, lidx] * yvec0 * _azimuth_phases(
             phi, midx, pmax
         )
-        vec += terms.sum(axis=0)
-        ring = float(np.max(np.abs(terms)))
-        norm = max(norm, float(np.max(np.abs(vec))))
-        if ring < tol * max(1.0, norm):
-            quiet += 1
-            if quiet >= 2:
-                break
+
+    vec = np.zeros(len(pairs), dtype=complex)
+    norm = 0.0
+    # the reciprocal sum includes g = 0 (shell 0), the real-space sum excludes R = 0
+    for part, first, shell_terms in (("reciprocal", 0, reciprocal), ("real", 1, real)):
+        quiet = 0
+        for s in range(first, 200):
+            terms = shell_terms(*_shell(s))
+            vec += terms.sum(axis=0)
+            ring = float(np.max(np.abs(terms)))
+            norm = max(norm, float(np.max(np.abs(vec))))
+            if s > 0 and ring < tol * max(1.0, norm):
+                quiet += 1
+                if quiet >= 2:
+                    break
+            else:
+                quiet = 0
         else:
-            quiet = 0
-    else:
-        raise ConvergenceError(
-            "real-space Ewald sum did not converge",
-            {"eta": eta, "k": k, "kpar": tuple(kpar), "ring": ring},
-        )
+            raise ConvergenceError(
+                f"{part}-space Ewald sum did not converge",
+                {"eta": eta, "k": k, "kpar": tuple(kpar), "ring": ring},
+            )
 
     tab = {key: vec[i] for i, key in enumerate(pairs)}
     # origin correction (L = 0 only)

@@ -85,11 +85,22 @@ class LayerS:
     tmm: np.ndarray
 
 
-def identity_smatrix(beams: BeamSet, mat: Material | None = None) -> LayerS:
+def _diagonal_smatrix(
+    beams: BeamSet, mat_left: Material, mat_right: Material, tpp, rpm, rmp, tmm
+) -> LayerS:
+    """LayerS whose four blocks are diagonal, from their (2n,) diagonals or scalars."""
     n = 2 * beams.n_beams
+    blocks = []
+    for d in (tpp, rpm, rmp, tmm):
+        block = np.zeros((n, n), dtype=complex)
+        block.flat[:: n + 1] = d
+        blocks.append(block)
+    return LayerS(beams, mat_left, mat_right, *blocks)
+
+
+def identity_smatrix(beams: BeamSet, mat: Material | None = None) -> LayerS:
     mat = beams.ambient if mat is None else mat
-    z = np.zeros((n, n), dtype=complex)
-    return LayerS(beams, mat, mat, np.eye(n, dtype=complex), z.copy(), z.copy(), np.eye(n, dtype=complex))
+    return _diagonal_smatrix(beams, mat, mat, 1.0, 0.0, 0.0, 1.0)
 
 
 def beam_kz(beams: BeamSet, mat: Material) -> np.ndarray:
@@ -226,51 +237,36 @@ def _beam_multipole_maps(beams: BeamSet, k: complex, offset, area: float, lmax: 
     return a_plus, a_minus, c_up, c_down
 
 
-def _fresnel(kzl: complex, kzr: complex, epsl: complex, epsr: complex):
-    """Flux-normalized s/p Fresnel coefficients for one beam.
+def _fresnel(kzl: np.ndarray, kzr: np.ndarray, epsl: complex, epsr: complex):
+    """Flux-normalized Fresnel coefficients (r, t) of every beam, left-to-right.
 
-    Returns (rs, ts, rp, tp) for left-to-right incidence; right-to-left
-    follows by swapping arguments.
+    Both are (2n,) arrays in the (beam, polarization) basis order, s then p
+    per beam; right-to-left follows by swapping arguments.
     """
     nl, nr = branch_sqrt(epsl), branch_sqrt(epsr)
     rs = (kzl - kzr) / (kzl + kzr)
     ts = 2.0 * kzl / (kzl + kzr)
     rp = (epsr * kzl - epsl * kzr) / (epsr * kzl + epsl * kzr)
     tp = 2.0 * nl * nr * kzl / (epsr * kzl + epsl * kzr)
-    flux = branch_sqrt(kzr) / branch_sqrt(kzl)
-    return rs, ts * flux, rp, tp * flux
+    flux = branch_sqrt_array(kzr) / branch_sqrt_array(kzl)
+    return np.stack([rs, rp], axis=1).ravel(), np.stack([ts * flux, tp * flux], axis=1).ravel()
 
 
 def interface_smatrix(mat_left: Material, mat_right: Material, beams: BeamSet) -> LayerS:
     """Fresnel S-matrix of a planar dielectric interface, per beam and pol."""
-    n = beams.n_beams
     kzl = beam_kz(beams, mat_left)
     kzr = beam_kz(beams, mat_right)
-    tpp = np.zeros((2 * n, 2 * n), dtype=complex)
-    rpm = np.zeros_like(tpp)
-    rmp = np.zeros_like(tpp)
-    tmm = np.zeros_like(tpp)
-    for j in range(n):
-        rs, ts, rp, tp = _fresnel(kzl[j], kzr[j], mat_left.eps, mat_right.eps)
-        rs_b, ts_b, rp_b, tp_b = _fresnel(kzr[j], kzl[j], mat_right.eps, mat_left.eps)
-        for ipol, (r, t, rb, tb) in enumerate(((rs, ts, rs_b, ts_b), (rp, tp, rp_b, tp_b))):
-            i = 2 * j + ipol
-            tpp[i, i] = t
-            rpm[i, i] = r
-            rmp[i, i] = rb
-            tmm[i, i] = tb
-    return LayerS(beams, mat_left, mat_right, tpp, rpm, rmp, tmm)
+    r, t = _fresnel(kzl, kzr, mat_left.eps, mat_right.eps)
+    rb, tb = _fresnel(kzr, kzl, mat_right.eps, mat_left.eps)
+    return _diagonal_smatrix(beams, mat_left, mat_right, t, r, rb, tb)
 
 
 def gap_smatrix(distance: float, beams: BeamSet) -> LayerS:
     """Free propagation over a distance of the beams' ambient medium."""
     if distance < 0:
         raise InvalidArgumentError(f"distance must be >= 0, got {distance}")
-    n = beams.n_beams
-    phase = np.exp(1j * beams.kz * distance)
-    diag = np.repeat(phase, 2)
-    z = np.zeros((2 * n, 2 * n), dtype=complex)
-    return LayerS(beams, beams.ambient, beams.ambient, np.diag(diag), z.copy(), z.copy(), np.diag(diag))
+    phase = np.repeat(np.exp(1j * beams.kz * distance), 2)
+    return _diagonal_smatrix(beams, beams.ambient, beams.ambient, phase, 0.0, 0.0, phase)
 
 
 def plate_smatrix(
@@ -281,33 +277,23 @@ def plate_smatrix(
     Underflow-safe: an opaque plate's interior phase factor flushes to exact
     zero, leaving the front-interface reflection.
     """
-    n = beams.n_beams
     kzl = beam_kz(beams, ambient_left)
     kzm = beam_kz(beams, plate.material)
     kzr = beam_kz(beams, ambient_right)
-    em = plate.material.eps
-    tpp = np.zeros((2 * n, 2 * n), dtype=complex)
-    rpm = np.zeros_like(tpp)
-    rmp = np.zeros_like(tpp)
-    tmm = np.zeros_like(tpp)
-    for j in range(n):
-        ph = np.exp(1j * kzm[j] * plate.thickness)
-        f1 = _fresnel(kzl[j], kzm[j], ambient_left.eps, em)
-        f1b = _fresnel(kzm[j], kzl[j], em, ambient_left.eps)
-        f2 = _fresnel(kzm[j], kzr[j], em, ambient_right.eps)
-        f2b = _fresnel(kzr[j], kzm[j], ambient_right.eps, em)
-        for ipol in (0, 1):
-            r1, t1 = f1[2 * ipol], f1[2 * ipol + 1]
-            r1b, t1b = f1b[2 * ipol], f1b[2 * ipol + 1]
-            r2, t2 = f2[2 * ipol], f2[2 * ipol + 1]
-            r2b, t2b = f2b[2 * ipol], f2b[2 * ipol + 1]
-            den = 1.0 - r1b * r2 * ph * ph
-            i = 2 * j + ipol
-            tpp[i, i] = t1 * t2 * ph / den
-            rpm[i, i] = r1 + t1 * r2 * t1b * ph * ph / den
-            rmp[i, i] = r2b + t2 * r1b * t2b * ph * ph / den
-            tmm[i, i] = t2b * t1b * ph / den
-    return LayerS(beams, ambient_left, ambient_right, tpp, rpm, rmp, tmm)
+    el, em, er = ambient_left.eps, plate.material.eps, ambient_right.eps
+    ph = np.repeat(np.exp(1j * kzm * plate.thickness), 2)
+    r1, t1 = _fresnel(kzl, kzm, el, em)
+    r1b, t1b = _fresnel(kzm, kzl, em, el)
+    r2, t2 = _fresnel(kzm, kzr, em, er)
+    r2b, t2b = _fresnel(kzr, kzm, er, em)
+    den = 1.0 - r1b * r2 * ph * ph
+    return _diagonal_smatrix(
+        beams, ambient_left, ambient_right,
+        tpp=t1 * t2 * ph / den,
+        rpm=r1 + t1 * r2 * t1b * ph * ph / den,
+        rmp=r2b + t2 * r1b * t2b * ph * ph / den,
+        tmm=t2b * t1b * ph / den,
+    )
 
 
 def star_product(s1: LayerS, s2: LayerS) -> LayerS:

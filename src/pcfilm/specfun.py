@@ -154,16 +154,6 @@ def ylm_table(lmax: int, ct, st, phi) -> np.ndarray:
     return out
 
 
-def ylm(l: int, m: int, ct: complex, st: complex, phi: float | complex) -> complex:
-    """Single spherical harmonic Y_lm for possibly complex angles."""
-    if abs(m) > l:
-        return 0.0
-    pt = legendre_normalized(l, ct, st)
-    if m >= 0:
-        return pt[l, m] * np.exp(1j * m * phi)
-    return (-1) ** m * pt[l, -m] * np.exp(1j * m * phi)
-
-
 @lru_cache(maxsize=200000)
 def _wigner3j(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int) -> float:
     """Exact Wigner 3j symbol via the Racah formula in rational arithmetic."""

@@ -110,11 +110,13 @@ def repeat_slice(s: LayerS, n: int) -> LayerS:
         raise InvalidArgumentError(f"repeat count must be >= 0, got {n}")
     if s.mat_left.eps != s.mat_right.eps:
         raise InvalidArgumentError("repeat_slice requires the same ambient on both sides")
-    acc = identity_smatrix(s.beams, s.mat_left)
+    if n == 0:
+        return identity_smatrix(s.beams, s.mat_left)
+    acc = None
     base = s
     while n > 0:
         if n & 1:
-            acc = star_product(acc, base)
+            acc = base if acc is None else star_product(acc, base)
         n >>= 1
         if n:
             base = star_product(base, base)

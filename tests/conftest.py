@@ -4,23 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from pcfilm.band import true_runs
+
 
 def longest_run(mask) -> tuple[int, int] | None:
     """Indices (first, last) of the longest contiguous True run, or None."""
-    mask = np.asarray(mask, dtype=bool)
-    best = None
-    i = 0
-    while i < mask.size:
-        if mask[i]:
-            j = i
-            while j + 1 < mask.size and mask[j + 1]:
-                j += 1
-            if best is None or (j - i) > (best[1] - best[0]):
-                best = (i, j)
-            i = j + 1
-        else:
-            i += 1
-    return best
+    return max(true_runs(mask), key=lambda r: r[1] - r[0], default=None)
 
 
 def band_interval(omega, values, threshold: float = 0.2):

@@ -226,6 +226,52 @@ def fresnel_power_reflectance(eps: complex) -> float:
     return abs(r) ** 2
 
 
+def _decaying_sqrt(w: complex) -> complex:
+    """sqrt with Im >= 0, and Re >= 0 when Im == 0 (decaying/outgoing branch)."""
+    s = cmath.sqrt(w)
+    return -s if s.imag < 0 or (s.imag == 0 and s.real < 0) else s
+
+
+def beam_kz_loop(kt, eps: complex, omega: float) -> list:
+    """kz of every beam of in-plane wavevectors kt in a medium, one at a time."""
+    return [_decaying_sqrt(eps * omega * omega - (kx * kx + ky * ky)) for kx, ky in kt]
+
+
+def fresnel_beam(kzl: complex, kzr: complex, epsl: complex, epsr: complex, pol: str):
+    """Flux-normalized (r, t) of one beam and polarization, left to right.
+
+    Textbook s and p Fresnel coefficients; t carries sqrt(kzr / kzl) so that
+    |t|^2 is the transmitted z-flux of a propagating beam.
+    """
+    if pol == "s":
+        r = (kzl - kzr) / (kzl + kzr)
+        t = 2 * kzl / (kzl + kzr)
+    else:
+        den = epsr * kzl + epsl * kzr
+        r = (epsr * kzl - epsl * kzr) / den
+        t = 2 * _decaying_sqrt(epsl) * _decaying_sqrt(epsr) * kzl / den
+    return r, t * _decaying_sqrt(kzr) / _decaying_sqrt(kzl)
+
+
+def plate_beam(kzl, kzm, kzr, epsl, epsm, epsr, thickness: float, pol: str):
+    """(tpp, rpm, rmp, tmm) of one beam and polarization through a plate.
+
+    Airy sums of the multiple reflections between its two interfaces.
+    """
+    r1, t1 = fresnel_beam(kzl, kzm, epsl, epsm, pol)
+    r1b, t1b = fresnel_beam(kzm, kzl, epsm, epsl, pol)
+    r2, t2 = fresnel_beam(kzm, kzr, epsm, epsr, pol)
+    r2b, t2b = fresnel_beam(kzr, kzm, epsr, epsm, pol)
+    ph = cmath.exp(1j * kzm * thickness)
+    den = 1 - r1b * r2 * ph * ph
+    return (
+        t1 * t2 * ph / den,
+        r1 + t1 * r2 * t1b * ph * ph / den,
+        r2b + t2 * r1b * t2b * ph * ph / den,
+        t2b * t1b * ph / den,
+    )
+
+
 def sph_neumann(lmax: int, z: complex) -> np.ndarray:
     """Spherical Neumann functions y_0..y_lmax via y_l = (h_l - j_l)/i.
 

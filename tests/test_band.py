@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from pcfilm.band import complex_bands, gap_edges, overlap_permutation
+from pcfilm.band import complex_bands, gap_edges, overlap_permutation, true_runs
 from pcfilm.errors import InvalidArgumentError
 from pcfilm.lattice import SQUARE, beam_set
 from pcfilm.layer import Plate, gap_smatrix
@@ -133,6 +133,12 @@ class TestGapEdges:
         edge_hi = brentq(lambda w: abs(_bloch_cos(w)) - 1.0, 1.62, 2.0)
         assert lo == pytest.approx(edge_lo, abs=2e-4)
         assert hi == pytest.approx(edge_hi, abs=2e-4)
+
+    def test_true_runs(self):
+        assert true_runs([]) == []
+        assert true_runs([False, False]) == []
+        assert true_runs([True, True, True]) == [(0, 2)]
+        assert true_runs([True, False, True, True, False, True]) == [(0, 0), (2, 3), (5, 5)]
 
     def test_non_monotone_scan_rejected(self):
         pts = [

@@ -151,8 +151,16 @@ class TestCli:
         report = (out / "validate.txt").read_text()
         assert "pass" in report.lower()
 
-    @pytest.mark.parametrize("command", ["spectrum", "sweep"])
-    def test_failure_names_displayed_point(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize(
+        "command, prefix",
+        [
+            ("spectrum", "emissivity failed at omega=2.0, theta=0.0 deg: "),
+            ("sweep", "emissivity failed at omega=2.0, theta=0.0 deg: "),
+            ("band", "band failed at omega=2.0: "),
+        ],
+        ids=["spectrum", "sweep", "band"],
+    )
+    def test_failure_names_displayed_point(self, tmp_path, capsys, command, prefix):
         # a beam cutoff below the specular beam fails inside the solve; the
         # message must give omega as requested (not the internal c/a value,
         # here 2/sqrt(2)) and theta in degrees
@@ -162,7 +170,7 @@ class TestCli:
         cfg = self._write(tmp_path, scene)
         argv = [command, "--config", cfg, "--out", str(tmp_path / "x"), "--cutoff", "0.01"]
         assert main(argv) == 2
-        assert "error: emissivity failed at omega=2.0, theta=0.0 deg: " in capsys.readouterr().err
+        assert f"error: {prefix}cutoff 0.01 < omega*sqrt|eps|" in capsys.readouterr().err
 
     def test_preset_and_config_conflict(self, tmp_path):
         cfg = self._write(tmp_path, _small_fig3())

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import direct_lattice_sums, lattice_sum_keys
-from pcfilm.errors import InvalidArgumentError
+from pcfilm.errors import ConvergenceError, InvalidArgumentError
 from pcfilm.lattice import (
     SQUARE,
     TRIANGULAR,
@@ -182,6 +182,12 @@ class TestLatticeSums:
         scale = max(abs(v) for v in a.values())
         for key in a:
             assert abs(a[key] - b[key]) < 1e-8 * scale
+
+    def test_wood_anomaly_names_grazing_order(self):
+        # k = 2 pi at normal incidence: the four orders with |g| = 2 pi graze the plane
+        with pytest.raises(ConvergenceError, match="Wood anomaly") as exc:
+            lattice_sums_ewald(SQUARE, 2 * math.pi, (0.0, 0.0), 4)
+        assert exc.value.diagnostics["g"] in {(-1, 0), (1, 0), (0, -1), (0, 1)}
 
     def test_triangular_lossy_vs_direct(self):
         k = 1.4 + 0.5j

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import fresnel_power_reflectance, mie_oracle
+from oracles import beam_kz_loop, fresnel_beam, fresnel_power_reflectance, mie_oracle, plate_beam
 from pcfilm import vswf
 from pcfilm.errors import InvalidArgumentError, SingularSolveError
 from pcfilm.lattice import SQUARE, beam_set, structure_constants
@@ -125,6 +125,64 @@ class TestPlate:
         )
         for a, b in ((whole.tpp, split.tpp), (whole.rpm, split.rpm), (whole.rmp, split.rmp)):
             assert np.max(np.abs(a - b)) < 1e-10
+
+
+class TestDiagonalLayersVsLoop:
+    """interface_smatrix and plate_smatrix against scalar formulas, beam by beam."""
+
+    BLOCKS = ("tpp", "rpm", "rmp", "tmm")
+
+    @staticmethod
+    def _beams():
+        # oblique, off the symmetry lines: one propagating order, the rest evanescent
+        beams = beam_set(SQUARE, OM, (0.7, 0.4), VACUUM, OM * math.sqrt(12.0) + 2 * math.pi)
+        assert beams.propagating.sum() == 1 and beams.n_beams == 8
+        return beams
+
+    def _check(self, S, per_beam):
+        """per_beam(j, pol) gives the four scalar blocks of beam j."""
+        want = np.array([per_beam(j, pol) for j in range(S.beams.n_beams) for pol in "sp"])
+        for b, name in enumerate(self.BLOCKS):
+            got = getattr(S, name)
+            assert np.array_equal(got, np.diag(np.diag(got))), name
+            np.testing.assert_allclose(np.diag(got), want[:, b], rtol=1e-14, atol=0, err_msg=name)
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [(VACUUM, Material(12.0)), (Material(2.25), Material(12.0 + 7.0j))],
+        ids=["vacuum-dielectric", "dielectric-lossy"],
+    )
+    def test_interface(self, left, right):
+        beams = self._beams()
+        kzl = beam_kz_loop(beams.kt, left.eps, OM)
+        kzr = beam_kz_loop(beams.kt, right.eps, OM)
+
+        def per_beam(j, pol):
+            r, t = fresnel_beam(kzl[j], kzr[j], left.eps, right.eps, pol)
+            rb, tb = fresnel_beam(kzr[j], kzl[j], right.eps, left.eps, pol)
+            return t, r, rb, tb
+
+        self._check(interface_smatrix(left, right, beams), per_beam)
+
+    @pytest.mark.parametrize(
+        "plate",
+        [Plate(0.35, Material(12.0 + 0.1j)), Plate(1e8, Material(12.0 + 7.0j))],
+        ids=["lossy", "opaque"],
+    )
+    def test_plate_unequal_ambients(self, plate):
+        beams = self._beams()
+        left, right = VACUUM, Material(2.25)
+        kz = [beam_kz_loop(beams.kt, m.eps, OM) for m in (left, plate.material, right)]
+        eps = (left.eps, plate.material.eps, right.eps)
+
+        def per_beam(j, pol):
+            return plate_beam(*(k[j] for k in kz), *eps, plate.thickness, pol)
+
+        S = plate_smatrix(plate, beams, left, right)
+        self._check(S, per_beam)
+        if plate.thickness > 1e3:
+            # the interior phase underflows: no transmission, front reflection only
+            assert not S.tpp.any() and not S.tmm.any()
 
 
 class TestSpherePlane:

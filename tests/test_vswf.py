@@ -63,11 +63,13 @@ class TestScalarExpansion:
         phr = math.atan2(r[1], r[0])
         lmax = 25
         j = sph_bessel(lmax, k * rr)
+        yk = sf.ylm_table(lmax, math.cos(th_k), math.sin(th_k), ph_k)
+        yr = sf.ylm_table(lmax, ctr, str_, phr)
         total = 0.0 + 0.0j
         for lam in range(lmax + 1):
             for nu in range(-lam, lam + 1):
-                ybar = (-1) ** nu * sf.ylm(lam, -nu, math.cos(th_k), math.sin(th_k), ph_k)
-                total += 4 * math.pi * 1j**lam * ybar * j[lam] * sf.ylm(lam, nu, ctr, str_, phr)
+                ybar = (-1) ** nu * yk[lam, lmax - nu]
+                total += 4 * math.pi * 1j**lam * ybar * j[lam] * yr[lam, lmax + nu]
         assert total == pytest.approx(cmath.exp(1j * np.dot(kvec, r)), abs=1e-12)
 
 
