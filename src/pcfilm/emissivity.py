@@ -31,8 +31,6 @@ class EmissivityMap:
     average ``e_avg`` are the emissivity maps.
     """
 
-    omega_grid: np.ndarray
-    theta_grid: np.ndarray
     R: np.ndarray
     T: np.ndarray
     A: np.ndarray
@@ -111,7 +109,7 @@ def angular_map(
     results = run_grid(point, tasks, threads, describe)
     shape = (omega_grid.size, theta_grid.size, len(POLS))
     rta = np.array([[(p.R, p.T, p.A) for p in pts] for pts in results]).reshape(shape + (3,))
-    return EmissivityMap(omega_grid, theta_grid, rta[..., 0], rta[..., 1], rta[..., 2])
+    return EmissivityMap(rta[..., 0], rta[..., 1], rta[..., 2])
 
 
 def planck_b(x):

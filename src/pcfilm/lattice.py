@@ -30,6 +30,7 @@ from .errors import ConvergenceError, InvalidArgumentError
 from .mie import Material, branch_sqrt_array
 
 _I_POW = (1.0, 1.0j, -1.0, -1.0j)  # i^M exactly, index M % 4
+_EWALD_TOL = 1e-12  # shell-convergence threshold of lattice_sums_ewald
 
 
 def _cerfc(z):
@@ -254,14 +255,12 @@ def _azimuth_phases(phi: np.ndarray, midx: np.ndarray, pmax: int) -> np.ndarray:
     return np.concatenate([e[:, :0:-1].conj(), e], axis=1)[:, midx + pmax]
 
 
-def lattice_sums_ewald(
-    lat: Lattice2D, k: complex, kpar, pmax: int, eta: float | None = None, tol: float = 1e-12
-) -> dict:
+def lattice_sums_ewald(lat: Lattice2D, k: complex, kpar, pmax: int, eta: float | None = None) -> dict:
     """Ewald-accelerated S_{p,sigma} for all p <= pmax, sigma with p+sigma even.
 
     Both sums run over square shells max(|n1|, |n2|) = s, one array step per
     shell, and stop after two consecutive shells whose largest term is below
-    tol relative to the running sum.
+    _EWALD_TOL relative to the running sum.
     """
     kpar = np.asarray(kpar, dtype=float)
     area = lat.area
@@ -316,7 +315,7 @@ def lattice_sums_ewald(
             vec += terms.sum(axis=0)
             ring = float(np.max(np.abs(terms)))
             norm = max(norm, float(np.max(np.abs(vec))))
-            if s > 0 and ring < tol * max(1.0, norm):
+            if s > 0 and ring < _EWALD_TOL * max(1.0, norm):
                 quiet += 1
                 if quiet >= 2:
                     break
@@ -335,34 +334,17 @@ def lattice_sums_ewald(
     return tab
 
 
-@dataclass(frozen=True)
-class StructureConstants:
-    """Lattice-summed VSWF translation operator at one (omega, kpar).
+def structure_constants(lat: Lattice2D, omega: float, kpar, host: Material, lmax: int) -> np.ndarray:
+    """Structure constants Omega for a plane of scatterers, from Ewald lattice sums.
 
-    ``omega_mat`` is the (2 nlm) x (2 nlm) matrix over (M channels, E
-    channels) x lm_list(lmax) mapping outgoing multipole amplitudes on all
-    other sites to the regular expansion at the origin site.
+    The (2 nlm) x (2 nlm) matrix over (M channels, E channels) x
+    lm_list(lmax) maps outgoing multipole amplitudes on all other sites to
+    the regular expansion at the origin site.
     """
-
-    omega: float
-    kpar: tuple[float, float]
-    lmax: int
-    host: Material
-    omega_mat: np.ndarray
-    s_table: dict
-
-
-def structure_constants(
-    lat: Lattice2D, omega: float, kpar, host: Material, lmax: int
-) -> StructureConstants:
-    """Structure constants Omega for a plane of scatterers, from Ewald lattice sums."""
     if omega <= 0:
         raise InvalidArgumentError(f"omega must be > 0, got {omega}")
     if lmax < 1:
         raise InvalidArgumentError(f"lmax must be >= 1, got {lmax}")
     kf, _ = fold_to_zone(lat, kpar)
-    s_table = lattice_sums_ewald(lat, host.wavenumber(omega), kf, 2 * lmax + 2)
-    return StructureConstants(
-        omega=float(omega), kpar=(float(kf[0]), float(kf[1])), lmax=lmax, host=host,
-        omega_mat=vswf.translation_matrix(lmax, s_table), s_table=s_table,
-    )
+    sums = lattice_sums_ewald(lat, host.wavenumber(omega), kf, 2 * lmax + 2)
+    return vswf.translation_matrix(lmax, sums)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import vswf
 from .errors import InvalidArgumentError, SingularSolveError
-from .lattice import BeamSet, Lattice2D, StructureConstants, beam_kt2
+from .lattice import BeamSet, Lattice2D, beam_kt2, structure_constants
 from .mie import Material, SphereScatterer, branch_sqrt, branch_sqrt_array, mie_t
 
 # Largest accepted condition number of a dense solve.  What is checked is a
@@ -163,52 +163,59 @@ def _solve_reported(a: np.ndarray, b: np.ndarray, context: str) -> np.ndarray:
     return xv[:, :m]
 
 
-def sphere_plane_smatrix(
-    plane: PlaneOfSpheres, sc: StructureConstants, beams: BeamSet, lmax: int
-) -> LayerS:
+def sphere_plane_smatrix(plane: PlaneOfSpheres, beams: BeamSet, lmax: int) -> LayerS:
     """S-matrix of one plane of spheres via self-consistent in-plane scattering.
 
     The regular incident expansion a about one sphere is scattered into
     b = (I - T Omega)^(-1) T a (T = Mie T-matrix, Omega = structure
-    constants); b is then converted to outgoing diffraction orders through
-    the lattice-sum plane-wave identity.
+    constants of the plane at the beams' omega and kpar); b is then
+    converted to outgoing diffraction orders through the lattice-sum
+    plane-wave identity.  The in-plane offset enters by displaced_smatrix.
     """
     host = plane.scatterer.host
     if beams.ambient.eps != host.eps:
         raise InvalidArgumentError("beams must live in the sphere host medium")
-    if (sc.omega != beams.omega) or (sc.kpar != beams.kpar) or (sc.host.eps != host.eps):
-        raise InvalidArgumentError("structure constants and beams disagree on (omega, kpar, host)")
     omega = beams.omega
     k = host.wavenumber(omega)
     nv = vswf.nlm(lmax)
+    omega_mat = structure_constants(plane.lattice, omega, beams.kpar, host, lmax)
     t_e, t_m = mie_t(plane.scatterer, omega, lmax)
     lidx = np.array([l for l, _ in vswf.lm_list(lmax)])
     tdiag = np.concatenate([t_m[lidx - 1], t_e[lidx - 1]])
     scatter = _solve_reported(
-        np.eye(2 * nv) - tdiag[:, None] * sc.omega_mat,
+        np.eye(2 * nv) - tdiag[:, None] * omega_mat,
         np.diag(tdiag),
         "sphere-plane self-consistency (I - T Omega)",
     )
 
-    a_plus, a_minus, c_up, c_down = _beam_multipole_maps(
-        beams, k, plane.offset, plane.lattice.area, lmax
-    )
+    a_plus, a_minus, c_up, c_down = _beam_multipole_maps(beams, k, plane.lattice.area, lmax)
     b_plus = scatter @ a_plus
     b_minus = scatter @ a_minus
     eye = np.eye(2 * beams.n_beams, dtype=complex)
-    return LayerS(
-        beams,
-        host,
-        host,
-        tpp=eye + c_up @ b_plus,
-        rpm=c_down @ b_plus,
-        rmp=c_up @ b_minus,
-        tmm=eye + c_down @ b_minus,
+    centred = LayerS(
+        beams, host, host,
+        tpp=eye + c_up @ b_plus, rpm=c_down @ b_plus,
+        rmp=c_up @ b_minus, tmm=eye + c_down @ b_minus,
     )
+    return displaced_smatrix(centred, plane.offset)
 
 
-def _beam_multipole_maps(beams: BeamSet, k: complex, offset, area: float, lmax: int):
-    """Plane-wave <-> multipole maps of every beam for a plane at ``offset``.
+def displaced_smatrix(s: LayerS, offset) -> LayerS:
+    """S-matrix of a layer moved in-plane by ``offset``: D^-1 S D.
+
+    At the moved layer, beam j carries the Bloch phase
+    d_j = exp(i kt_j . offset) relative to the unmoved one, in both
+    polarizations: incoming amplitudes pick it up, outgoing ones shed it.
+    """
+    if not np.any(offset):
+        return s
+    d = np.repeat(np.exp(1j * (s.beams.kt @ np.asarray(offset, dtype=float))), 2)
+    blocks = (s.tpp, s.rpm, s.rmp, s.tmm)
+    return LayerS(s.beams, s.mat_left, s.mat_right, *((1.0 / d)[:, None] * b * d for b in blocks))
+
+
+def _beam_multipole_maps(beams: BeamSet, k: complex, area: float, lmax: int):
+    """Plane-wave <-> multipole maps of every beam for a plane at the origin.
 
     Returns (a_plus, a_minus, c_up, c_down): the regular-expansion columns
     (2 nlm x 2n) of unit incident beams travelling toward +z and -z, and the
@@ -219,19 +226,17 @@ def _beam_multipole_maps(beams: BeamSet, k: complex, offset, area: float, lmax: 
     nv = vswf.nlm(lmax)
     kt = beams.kt
     kz = beams.kz
-    off = np.asarray(offset, dtype=float)
     sqrt_kz = branch_sqrt_array(kz)
     ktn = np.hypot(kt[:, 0], kt[:, 1])
     phi = np.where(ktn > 1e-12, np.arctan2(kt[:, 1], kt[:, 0]), 0.0)
-    bloch = np.exp(1j * (kt[:, 0] * off[0] + kt[:, 1] * off[1]))
     c_pref = 2.0 * math.pi / (area * k * kz)
 
     # axes (sign, beam, polarization, channel); sign 0 travels toward +z,
     # sign 1 toward -z.  One Y_lm table serves incident and outgoing maps.
     yflat = vswf.ylm_flat(lmax + 1, np.stack([kz / k, -kz / k]), ktn / k, phi)[:, :, None, :]
     pols = np.stack([_pol_vectors(kt, kz, k, +1), _pol_vectors(kt, kz, k, -1)])
-    a = vswf.incident_coeffs(lmax, yflat, pols) * bloch[:, None, None] / sqrt_kz[:, None, None]
-    c = ((sqrt_kz / bloch) * c_pref)[:, None, None] * vswf.outgoing_coeffs(lmax, yflat, pols)
+    a = vswf.incident_coeffs(lmax, yflat, pols) / sqrt_kz[:, None, None]
+    c = (sqrt_kz * c_pref)[:, None, None] * vswf.outgoing_coeffs(lmax, yflat, pols)
     a_plus, a_minus = (a[i].reshape(2 * n, 2 * nv).T for i in (0, 1))
     c_up, c_down = (c[i].reshape(2 * n, 2 * nv) for i in (0, 1))
     return a_plus, a_minus, c_up, c_down

@@ -33,13 +33,10 @@ class Material:
     """Relative permittivity of a (non-magnetic) region."""
 
     eps: complex
-    mu: float = 1.0
 
     def __post_init__(self):
         if complex(self.eps).imag < 0:
             raise InvalidArgumentError(f"passive media only: Im(eps) >= 0, got {self.eps}")
-        if self.mu != 1.0:
-            raise InvalidArgumentError("only mu = 1 materials are supported")
 
     @property
     def n(self) -> complex:
@@ -124,9 +121,10 @@ class CrossSections:
 NOT_APPLICABLE = CrossSections(math.nan, math.nan, math.nan, applicable=False)
 
 
-def mie_cross_sections(sphere: SphereScatterer, omega: float, lmax: int | None = None) -> CrossSections:
+def mie_cross_sections(sphere: SphereScatterer, omega: float) -> CrossSections:
     """Extinction/scattering/absorption efficiencies of the sphere.
 
+    The multipole series is cut at the Wiscombe order x + 4.05 x^(1/3) + 2.
     Cross-section normalization in a lossy host is ambiguous; for such hosts
     the not-applicable marker is returned.
     """
@@ -137,8 +135,7 @@ def mie_cross_sections(sphere: SphereScatterer, omega: float, lmax: int | None =
     if sphere.inside.eps == sphere.host.eps:
         return CrossSections(0.0, 0.0, 0.0)
     x = (sphere.host.wavenumber(omega) * sphere.radius).real
-    if lmax is None:
-        lmax = min(LMAX_CAP, max(4, int(math.ceil(x + 4.05 * x ** (1 / 3) + 2))))
+    lmax = min(LMAX_CAP, max(4, int(math.ceil(x + 4.05 * x ** (1 / 3) + 2))))
     t_e, t_m = mie_t(sphere, omega, lmax)
     ls = np.arange(1, lmax + 1)
     w = 2 * ls + 1

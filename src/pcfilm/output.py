@@ -117,10 +117,8 @@ def write_heatmap_svg(
     title: str,
     x_label: str,
     y_label: str,
-    vmin: float = 0.0,
-    vmax: float = 1.0,
 ) -> None:
-    """Heatmap of values[i, j] over x_grid[i] (horizontal) and y_grid[j].
+    """Heatmap of values[i, j] in [0, 1] over x_grid[i] (horizontal) and y_grid[j].
 
     The colorbar carries its numerical limits as text.
     """
@@ -136,13 +134,12 @@ def write_heatmap_svg(
     svg = _Svg(ml + pw + mr, mt + ph + mb)
     nx, ny = x_grid.size, y_grid.size
     cw, ch = pw / nx, ph / ny
-    span = vmax - vmin or 1.0
     for i in range(nx):
         for j in range(ny):
             # y axis increases upward: row j=0 at the bottom
             svg.rect(
                 ml + i * cw, mt + ph - (j + 1) * ch, cw + 0.5, ch + 0.5,
-                _color((values[i, j] - vmin) / span),
+                _color(values[i, j]),
             )
     svg.text(ml + pw / 2, mt - 14, title, size=14, anchor="middle")
     # axes
@@ -161,10 +158,9 @@ def write_heatmap_svg(
     # colorbar
     cb_x, cb_w, n_cb = ml + pw + 25, 18, 64
     for k in range(n_cb):
-        v = vmin + (k + 0.5) / n_cb * span
-        svg.rect(cb_x, mt + ph - (k + 1) * ph / n_cb, cb_w, ph / n_cb + 0.5, _color((v - vmin) / span))
-    svg.text(cb_x + cb_w / 2, mt - 6, fmt9(vmax), size=10, anchor="middle")
-    svg.text(cb_x + cb_w / 2, mt + ph + 14, fmt9(vmin), size=10, anchor="middle")
+        svg.rect(cb_x, mt + ph - (k + 1) * ph / n_cb, cb_w, ph / n_cb + 0.5, _color((k + 0.5) / n_cb))
+    svg.text(cb_x + cb_w / 2, mt - 6, "1", size=10, anchor="middle")
+    svg.text(cb_x + cb_w / 2, mt + ph + 14, "0", size=10, anchor="middle")
     svg.save(path)
 
 
@@ -175,7 +171,6 @@ def write_band_svg(
     period: float,
     gaps,
     title: str,
-    x_label: str = "Re(kz) d / pi",
     y_label: str = "frequency",
 ) -> None:
     """Band plot: propagating Re(kz)d/pi vs omega dots, gap intervals shaded.
@@ -212,6 +207,6 @@ def write_band_svg(
     for ty in _ticks(olo, ohi):
         svg.line(ml - 5, py(ty), ml, py(ty))
         svg.text(ml - 8, py(ty) + 4, fmt9(round(ty, 6)), size=10, anchor="end")
-    svg.text(ml + pw / 2, mt + ph + 38, x_label, size=12, anchor="middle")
+    svg.text(ml + pw / 2, mt + ph + 38, "Re(kz) d / pi", size=12, anchor="middle")
     svg.text(ml - 45, mt + ph / 2, y_label, size=12, anchor="middle", rotate=-90)
     svg.save(path)

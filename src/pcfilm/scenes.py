@@ -49,7 +49,7 @@ from .lattice import Lattice2D
 from .layer import Plate, PlaneOfSpheres
 from .mie import Material, SphereScatterer, VACUUM
 from .specfun import LMAX_DEFAULT
-from .stack import Gap, Interface, NumericalControls, Repeat, StackDescription
+from .stack import Gap, Interface, NumericalControls, Repeat, StackDescription, walk_stack
 
 SECTIONS = ("materials", "lattice", "stack", "sweep", "numerics")
 ELEMENT_KINDS = ("interface", "gap", "plate", "spheres")
@@ -145,14 +145,16 @@ class Scene:
         lo, hi, n = self.omega_sweep
         return np.linspace(lo, hi, int(n))
 
+    @property
+    def display_scale(self) -> float:
+        """Displayed frequency per internal frequency."""
+        return self.frequency_unit if self.units == "angular" else self.frequency_unit / (2 * math.pi)
+
     def omega_internal(self, displayed) -> np.ndarray:
-        displayed = np.asarray(displayed, dtype=float)
-        scale = self.frequency_unit if self.units == "angular" else self.frequency_unit / (2 * math.pi)
-        return displayed / scale
+        return np.asarray(displayed, dtype=float) / self.display_scale
 
     def omega_displayed(self, internal) -> np.ndarray:
-        scale = self.frequency_unit if self.units == "angular" else self.frequency_unit / (2 * math.pi)
-        return np.asarray(internal, dtype=float) * scale
+        return np.asarray(internal, dtype=float) * self.display_scale
 
     def theta_grid(self) -> np.ndarray:
         lo, hi, n = self.theta_sweep
@@ -163,31 +165,55 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _pair(val: str) -> tuple:
+    x, y = (float(t) for t in val.split())
+    return x, y
+
+
+def _sweep(val: str) -> tuple:
+    lo, hi, n = val.split()
+    return float(lo), float(hi), int(n)
+
+
+_SHOW = {
+    _pair: lambda v: f"{_fmt(v[0])} {_fmt(v[1])}",
+    _sweep: lambda v: f"{_fmt(v[0])} {_fmt(v[1])} {int(v[2])}",
+    float: _fmt,
+}
+
+# Every scalar setting: (section, key, Scene field, parser or tuple of the
+# allowed words, default; None = required).  [materials] and the stack
+# elements pre*/unit*/post* are lists and are handled apart.
+SETTINGS = (
+    ("lattice", "a1", "a1", _pair, (1.0, 0.0)),
+    ("lattice", "a2", "a2", _pair, (0.0, 1.0)),
+    ("stack", "incident", "incident", str, "vacuum"),
+    ("stack", "exit", "exit", str, "vacuum"),
+    ("stack", "opaque", "opaque", ("auto", "true", "false"), "auto"),
+    ("stack", "periods", "periods", int, 1),
+    ("sweep", "omega", "omega_sweep", _sweep, None),
+    ("sweep", "theta", "theta_sweep", _sweep, (0.0, 0.0, 1)),
+    ("sweep", "phi", "phi_deg", float, 0.0),
+    ("sweep", "units", "units", ("angular", "ordinary"), "angular"),
+    ("sweep", "frequency_unit", "frequency_unit", float, 1.0),
+    ("numerics", "lmax", "lmax", int, LMAX_DEFAULT),
+    ("numerics", "cutoff", "cutoff", lambda v: "auto" if v == "auto" else float(v), "auto"),
+)
+ELEMENT_BLOCKS = ("pre", "unit", "post")
+
+
 def serialize_scene(scene: Scene) -> str:
     """Canonical config text; parsing it reproduces the Scene exactly."""
-    lines = ["[materials]"]
-    for name, eps in scene.materials:
-        lines.append(f"{name} = {complex(eps)}")
-    lines += ["", "[lattice]",
-              f"a1 = {_fmt(scene.a1[0])} {_fmt(scene.a1[1])}",
-              f"a2 = {_fmt(scene.a2[0])} {_fmt(scene.a2[1])}",
-              "", "[stack]",
-              f"incident = {scene.incident}",
-              f"exit = {scene.exit}",
-              f"opaque = {scene.opaque}"]
-    for prefix, specs in (("pre", scene.pre), ("unit", scene.unit), ("post", scene.post)):
-        for i, spec in enumerate(specs, 1):
-            lines.append(f"{prefix}{i} = " + " ".join(str(t) for t in spec))
-    lines.append(f"periods = {scene.periods}")
-    lines += ["", "[sweep]",
-              f"omega = {_fmt(scene.omega_sweep[0])} {_fmt(scene.omega_sweep[1])} {int(scene.omega_sweep[2])}",
-              f"theta = {_fmt(scene.theta_sweep[0])} {_fmt(scene.theta_sweep[1])} {int(scene.theta_sweep[2])}",
-              f"phi = {_fmt(scene.phi_deg)}",
-              f"units = {scene.units}",
-              f"frequency_unit = {_fmt(scene.frequency_unit)}",
-              "", "[numerics]",
-              f"lmax = {scene.lmax}",
-              f"cutoff = {scene.cutoff}"]
+    lines = ["[materials]"] + [f"{name} = {complex(eps)}" for name, eps in scene.materials]
+    for section in SECTIONS[1:]:
+        lines += ["", f"[{section}]"]
+        for sec, key, fld, parse, _ in SETTINGS:
+            if sec == section:
+                lines.append(f"{key} = {_SHOW.get(parse, str)(getattr(scene, fld))}")
+        if section == "stack":
+            for prefix in ELEMENT_BLOCKS:
+                for i, spec in enumerate(getattr(scene, prefix), 1):
+                    lines.append(f"{prefix}{i} = " + " ".join(str(t) for t in spec))
     return "\n".join(lines) + "\n"
 
 
@@ -200,20 +226,9 @@ def parse_config(text: str) -> Scene:
     issues = []
     section = None
     materials: list = []
-    data = {
-        "a1": None, "a2": None,
-        "incident": None, "exit": "vacuum", "opaque": "auto",
-        "pre": {}, "unit": {}, "post": {}, "periods": 1,
-        "omega": None, "theta": (0.0, 0.0, 1), "phi": 0.0,
-        "units": "angular", "frequency_unit": 1.0,
-        "lmax": LMAX_DEFAULT, "cutoff": "auto",
-    }
-    known = {
-        "lattice": {"a1", "a2"},
-        "stack": {"incident", "exit", "opaque", "periods"},
-        "sweep": {"omega", "theta", "phi", "units", "frequency_unit"},
-        "numerics": {"lmax", "cutoff"},
-    }
+    settings = {(sec, key): (fld, parse) for sec, key, fld, parse, _ in SETTINGS}
+    values = {fld: default for _, _, fld, _, default in SETTINGS}
+    elements = {prefix: {} for prefix in ELEMENT_BLOCKS}
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -247,8 +262,8 @@ def parse_config(text: str) -> Scene:
                     else:
                         materials.append((key, eps))
                 continue
-            if section == "stack" and key not in known["stack"]:
-                for prefix in ("pre", "unit", "post"):
+            if section == "stack" and (section, key) not in settings:
+                for prefix in ELEMENT_BLOCKS:
                     if key.startswith(prefix) and key[len(prefix):].isdigit():
                         toks = val.split()
                         if not toks or toks[0] not in ELEMENT_KINDS:
@@ -262,38 +277,21 @@ def parse_config(text: str) -> Scene:
                         elif toks[0] == "spheres" and len(toks) not in (3, 5):
                             issues.append((ln, "spheres takes material, radius [, offx offy]"))
                         else:
-                            data[prefix][int(key[len(prefix):])] = tuple(toks)
+                            elements[prefix][int(key[len(prefix):])] = tuple(toks)
                         break
                 else:
                     issues.append((ln, f"unknown key {key!r} in [stack]"))
                 continue
-            if key not in known.get(section, set()):
+            if (section, key) not in settings:
                 issues.append((ln, f"unknown key {key!r} in [{section}]"))
                 continue
-            if key in ("a1", "a2"):
-                x, y = (float(t) for t in val.split())
-                data[key] = (x, y)
-            elif key in ("omega", "theta"):
-                lo, hi, n = val.split()
-                data[key] = (float(lo), float(hi), int(n))
-            elif key in ("phi", "frequency_unit"):
-                data[key] = float(val)
-            elif key in ("periods", "lmax"):
-                data[key] = int(val)
-            elif key == "cutoff":
-                data[key] = "auto" if val == "auto" else float(val)
-            elif key == "units":
-                if val not in ("angular", "ordinary"):
-                    issues.append((ln, f"units must be angular|ordinary, got {val!r}"))
-                else:
-                    data[key] = val
-            elif key == "opaque":
-                if val not in ("auto", "true", "false"):
-                    issues.append((ln, f"opaque must be auto|true|false, got {val!r}"))
-                else:
-                    data[key] = val
+            fld, parse = settings[section, key]
+            if not isinstance(parse, tuple):
+                values[fld] = parse(val)
+            elif val in parse:
+                values[fld] = val
             else:
-                data[key] = val
+                issues.append((ln, f"{key} must be {'|'.join(parse)}, got {val!r}"))
         except (ValueError, TypeError) as exc:
             issues.append((ln, f"bad value for {key!r}: {exc}"))
 
@@ -302,29 +300,18 @@ def parse_config(text: str) -> Scene:
             issues.append((None, "element keys must be numbered 1..n without holes"))
         return tuple(d[i] for i in sorted(d))
 
-    pre, unit, post = ordered(data["pre"]), ordered(data["unit"]), ordered(data["post"])
-    if not (pre or unit or post):
+    blocks = {prefix: ordered(elements[prefix]) for prefix in ELEMENT_BLOCKS}
+    if not any(blocks.values()):
         issues.append((None, "stack must contain at least one element"))
-    if data["incident"] is None:
-        data["incident"] = "vacuum"
-    if data["omega"] is None:
-        issues.append((None, "[sweep] omega is required"))
-    if data["a1"] is None or data["a2"] is None:
-        data["a1"] = data["a1"] or (1.0, 0.0)
-        data["a2"] = data["a2"] or (0.0, 1.0)
+    for sec, key, fld, _, _ in SETTINGS:
+        if values[fld] is None:
+            issues.append((None, f"[{sec}] {key} is required"))
     if issues:
         raise ConfigError(issues)
-    scene = Scene(
-        materials=tuple(materials),
-        a1=data["a1"], a2=data["a2"],
-        incident=data["incident"], exit=data["exit"], opaque=data["opaque"],
-        pre=pre, unit=unit, post=post, periods=data["periods"],
-        omega_sweep=data["omega"], theta_sweep=data["theta"],
-        phi_deg=data["phi"], units=data["units"], frequency_unit=data["frequency_unit"],
-        lmax=data["lmax"], cutoff=data["cutoff"],
-    )
+    scene = Scene(materials=tuple(materials), **blocks, **values)
     try:
-        scene.build_stack()  # full validation (materials resolve, invariants hold)
+        desc = scene.build_stack()  # materials resolve, element invariants hold
+        walk_stack(desc.elements, desc.incident)  # every element fits its ambient
     except ConfigError:
         raise
     except Exception as exc:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import layer as ly
 from .errors import InvalidArgumentError, PcfilmError
-from .lattice import SQUARE, Lattice2D, beam_set, structure_constants
+from .lattice import SQUARE, Lattice2D, beam_set
 from .layer import LayerS, Plate, PlaneOfSpheres, identity_smatrix, star_product
 from .mie import Material, VACUUM
 from .specfun import LMAX_DEFAULT
@@ -59,13 +59,21 @@ class StackDescription:
 
     ``opaque_exit`` marks the exit medium as an absorbing termination whose
     transmitted flux is not collected (T = 0); it defaults to True whenever
-    the exit material is lossy.
+    the exit material is lossy.  A lossy exit cannot be transparent: no beam
+    propagates in it, so it carries no transmitted flux to collect.
     """
 
     elements: tuple
     incident: Material = VACUUM
     exit: Material = VACUUM
     opaque_exit: bool | None = None
+
+    def __post_init__(self):
+        if self.opaque_exit is False and not self.exit.lossless:
+            raise InvalidArgumentError(
+                f"a lossy exit medium (eps={self.exit.eps}) must be opaque: "
+                "no beam propagates in it to carry transmitted flux"
+            )
 
     @property
     def exit_is_opaque(self) -> bool:
@@ -188,28 +196,14 @@ class _LayerBuilder:
         return self._beams[key]
 
     def _sphere_plane(self, el: PlaneOfSpheres) -> LayerS:
-        # the in-plane offset enters the S-matrix only as diagonal Bloch
-        # phases, so one base matrix per scatterer serves all offsets
-        host = el.scatterer.host
-        key = (el.lattice.a1, el.lattice.a2, el.scatterer, complex(host.eps))
+        # the in-plane offset enters only by displaced_smatrix, so one
+        # centred S-matrix per scatterer serves all offsets
+        key = (el.lattice, el.scatterer)
         if key not in self._planes:
-            sc = structure_constants(el.lattice, self.omega, self.kpar, host, self.lmax)
-            base = ly.sphere_plane_smatrix(
-                PlaneOfSpheres(el.lattice, el.scatterer), sc, self.beams_in(host), self.lmax
-            )
-            self._planes[key] = base
-        base = self._planes[key]
-        if el.offset == (0.0, 0.0):
-            return base
-        beams = base.beams
-        d = np.repeat(
-            np.exp(1j * (np.asarray(beams.kt) @ np.asarray(el.offset, dtype=float))), 2
-        )
-        conj = lambda b: (1.0 / d)[:, None] * b * d[None, :]
-        return LayerS(
-            beams, base.mat_left, base.mat_right,
-            tpp=conj(base.tpp), rpm=conj(base.rpm), rmp=conj(base.rmp), tmm=conj(base.tmm),
-        )
+            centred = PlaneOfSpheres(el.lattice, el.scatterer)
+            beams = self.beams_in(el.scatterer.host)
+            self._planes[key] = ly.sphere_plane_smatrix(centred, beams, self.lmax)
+        return ly.displaced_smatrix(self._planes[key], el.offset)
 
     def build(self, el, ambient: Material) -> LayerS:
         if isinstance(el, Interface):

@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
-import numpy as np
+import os
+
+# One BLAS thread, set before numpy loads: the wall-clock budgets of the
+# acceptance tests then measure the code, not the thread pool's contention.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
 
 from pcfilm.band import true_runs
 

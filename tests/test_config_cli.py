@@ -42,6 +42,196 @@ cutoff = auto
 """
 
 
+def _edited(*edits):
+    """GOOD with each (old line, new text) edit applied."""
+    lines = GOOD.splitlines()
+    for old, new in edits:
+        lines[lines.index(old)] = new
+    return "\n".join(lines) + "\n"
+
+
+# (edits of GOOD, the exact ConfigError issues); line numbers are GOOD's
+MESSAGE_CASES = {
+    "unknown-section": (
+        [("[numerics]", "[numerix]")],
+        [(25, "unknown section [numerix]"), (26, "key outside of any section"),
+         (27, "key outside of any section")],
+    ),
+    "no-equals": ([("phi = 0.0", "phi 0.0")], [(21, "expected 'key = value', got 'phi 0.0'")]),
+    "key-outside-section": (
+        [("[materials]", "lmax = 7\n[materials]")], [(1, "key outside of any section")]
+    ),
+    "vacuum-reserved": ([("m1 = 2.6", "vacuum = 2.6")], [(2, "material name 'vacuum' is reserved")]),
+    "duplicate-material": ([("m2 = 1.44", "m1 = 1.44")], [(3, "duplicate material 'm1'")]),
+    "gain-material": (
+        [("m2 = 1.44", "m2 = 1.44-0.1j")], [(3, "Im(eps) must be >= 0, got (1.44-0.1j)")]
+    ),
+    "malformed-material": (
+        [("m2 = 1.44", "m2 = 1.4.4")],
+        [(3, "bad value for 'm2': complex() arg is a malformed string")],
+    ),
+    "unknown-element": (
+        [("unit2 = plate m2 0.81", "unit2 = slab m2 0.81")], [(15, "unknown element 'slab m2 0.81'")]
+    ),
+    "empty-element": ([("unit2 = plate m2 0.81", "unit2 =")], [(15, "unknown element ''")]),
+    "interface-arity": (
+        [("unit2 = plate m2 0.81", "unit2 = interface m2")], [(15, "interface takes 2 material names")]
+    ),
+    "gap-arity": ([("unit2 = plate m2 0.81", "unit2 = gap")], [(15, "gap takes 1 length")]),
+    "plate-arity": (
+        [("unit2 = plate m2 0.81", "unit2 = plate m2")], [(15, "plate takes material and thickness")]
+    ),
+    "spheres-arity": (
+        [("unit2 = plate m2 0.81", "unit2 = spheres m2 0.1 0")],
+        [(15, "spheres takes material, radius [, offx offy]")],
+    ),
+    "unknown-stack-key": ([("periods = 4", "period = 4")], [(16, "unknown key 'period' in [stack]")]),
+    "unknown-key": ([("phi = 0.0", "psi = 0.0")], [(21, "unknown key 'psi' in [sweep]")]),
+    "materials-as-setting": ([("a2 = 0.0 1.0", "m3 = 2")], [(8, "unknown key 'm3' in [lattice]")]),
+    "units-word": (
+        [("units = angular", "units = radial")],
+        [(22, "units must be angular|ordinary, got 'radial'")],
+    ),
+    "opaque-word": (
+        [("opaque = auto", "opaque = maybe")], [(13, "opaque must be auto|true|false, got 'maybe'")]
+    ),
+    "a1-not-float": (
+        [("a1 = 1.0 0.0", "a1 = x 0.0")],
+        [(7, "bad value for 'a1': could not convert string to float: 'x'")],
+    ),
+    "a1-too-few": (
+        [("a1 = 1.0 0.0", "a1 = 1.0")],
+        [(7, "bad value for 'a1': not enough values to unpack (expected 2, got 1)")],
+    ),
+    "a1-too-many": (
+        [("a1 = 1.0 0.0", "a1 = 1 0 0")],
+        [(7, "bad value for 'a1': too many values to unpack (expected 2)")],
+    ),
+    "omega-count": (
+        [("omega = 1.6 3.0 5", "omega = 1.6 3.0")],
+        [(19, "bad value for 'omega': not enough values to unpack (expected 3, got 2)"),
+         (None, "[sweep] omega is required")],
+    ),
+    "theta-int": (
+        [("theta = 0.0 60.0 3", "theta = 0.0 60.0 3.5")],
+        [(20, "bad value for 'theta': invalid literal for int() with base 10: '3.5'")],
+    ),
+    "periods-int": (
+        [("periods = 4", "periods = four")],
+        [(16, "bad value for 'periods': invalid literal for int() with base 10: 'four'")],
+    ),
+    "lmax-int": (
+        [("lmax = 7", "lmax = 7.0")],
+        [(26, "bad value for 'lmax': invalid literal for int() with base 10: '7.0'")],
+    ),
+    "phi-float": (
+        [("phi = 0.0", "phi = east")],
+        [(21, "bad value for 'phi': could not convert string to float: 'east'")],
+    ),
+    "frequency-unit-float": (
+        [("frequency_unit = 1.4142135623730951", "frequency_unit = root2")],
+        [(23, "bad value for 'frequency_unit': could not convert string to float: 'root2'")],
+    ),
+    "cutoff-float": (
+        [("cutoff = auto", "cutoff = big")],
+        [(27, "bad value for 'cutoff': could not convert string to float: 'big'")],
+    ),
+    "element-holes": (
+        [("unit2 = plate m2 0.81", "unit3 = plate m2 0.81")],
+        [(None, "element keys must be numbered 1..n without holes")],
+    ),
+    "empty-stack": (
+        [("unit1 = plate m1 0.6", ""), ("unit2 = plate m2 0.81", "")],
+        [(None, "stack must contain at least one element")],
+    ),
+    "omega-required": ([("omega = 1.6 3.0 5", "")], [(None, "[sweep] omega is required")]),
+    "line-issues-first": (
+        [("units = angular", "units = radial"), ("unit2 = plate m2 0.81", "unit3 = plate m2 0.81"),
+         ("omega = 1.6 3.0 5", "")],
+        [(22, "units must be angular|ordinary, got 'radial'"),
+         (None, "element keys must be numbered 1..n without holes"),
+         (None, "[sweep] omega is required")],
+    ),
+    "unknown-material": ([("exit = substrate", "exit = steel")], [(None, "unknown material 'steel'")]),
+    "degenerate-lattice": (
+        [("a2 = 0.0 1.0", "a2 = 2.0 0.0")],
+        [(None, "degenerate lattice cell: a1=(1.0, 0.0), a2=(2.0, 0.0)")],
+    ),
+    "negative-gap": (
+        [("unit2 = plate m2 0.81", "unit2 = gap -1")], [(None, "distance must be >= 0, got -1.0")]
+    ),
+    "gap-not-float": (
+        [("unit2 = plate m2 0.81", "unit2 = gap wide")],
+        [(None, "could not convert string to float: 'wide'")],
+    ),
+    "negative-thickness": (
+        [("unit2 = plate m2 0.81", "unit2 = plate m2 -1")],
+        [(None, "thickness must be >= 0, got -1.0")],
+    ),
+    "sphere-radius": (
+        [("unit2 = plate m2 0.81", "unit2 = spheres m2 0")], [(None, "radius must be > 0, got 0.0")]
+    ),
+    "overlapping-spheres": (
+        [("unit2 = plate m2 0.81", "unit2 = spheres m2 0.6")],
+        [(None, "spheres overlap in plane: diameter 1.2 >= nearest-neighbor distance 1.0")],
+    ),
+    "negative-periods": ([("periods = 4", "periods = -1")], [(None, "count must be >= 0, got -1")]),
+}
+
+
+# stacks the walk rejects, which parse_config must report as ConfigError; a
+# sphere plane always takes the ambient it sits in as its host, so config
+# text cannot give the walk's sphere-host mismatch
+WALK_CASES = {
+    "interface-left-not-ambient": (
+        [("unit1 = plate m1 0.6", "pre1 = interface m2 m1\nunit1 = plate m1 0.6")],
+        [(None, "interface left medium eps=(1.44+0j) != ambient eps=1.0")],
+    ),
+    "repeat-changes-ambient": (
+        [("unit2 = plate m2 0.81", "unit2 = interface vacuum m2")],
+        [(None, "repeated sub-stack must preserve the ambient medium")],
+    ),
+    "transparent-lossy-exit": (
+        [("opaque = auto", "opaque = false")],
+        [(None, "a lossy exit medium (eps=(12+7j)) must be opaque: "
+                "no beam propagates in it to carry transmitted flux")],
+    ),
+}
+
+# every setting away from its default, every element kind
+CUSTOM = """[materials]
+host = 12+0.1j
+void = 1
+glass = 2.25
+
+[lattice]
+a1 = 1.1 0.0
+a2 = 0.2 0.9
+
+[stack]
+incident = glass
+exit = host
+opaque = true
+pre1 = interface glass host
+unit1 = gap 0.25
+unit2 = spheres void 0.3 0.5 0.25
+unit3 = gap 0.25
+post1 = plate glass 0.4
+periods = 3
+
+[sweep]
+omega = 1.2 2.4 7
+theta = 5.0 45.0 4
+phi = 30.0
+units = ordinary
+frequency_unit = 2.5
+
+[numerics]
+lmax = 5
+cutoff = 14.5
+"""
+
+
 def _small_fig3():
     scene = sc.preset("paper-fig3")
     return dataclasses.replace(scene, omega_sweep=(1.6, 3.0, 5), theta_sweep=(0.0, 60.0, 3))
@@ -57,6 +247,20 @@ class TestParseConfig:
         scene = sc.parse_config(GOOD)
         assert sc.parse_config(sc.serialize_scene(scene)) == scene
 
+    def test_round_trip_every_setting(self):
+        scene = sc.parse_config(CUSTOM)
+        defaults = sc.parse_config("[stack]\nunit1 = gap 0.1\n[sweep]\nomega = 1 2 3\n")
+        for f in dataclasses.fields(sc.Scene):
+            assert getattr(scene, f.name) != getattr(defaults, f.name), f.name
+        assert sc.parse_config(sc.serialize_scene(scene)) == scene
+
+    @pytest.mark.parametrize("case", sorted(WALK_CASES))
+    def test_stack_walk_at_parse(self, case):
+        edits, issues = WALK_CASES[case]
+        with pytest.raises(ConfigError) as exc:
+            sc.parse_config(_edited(*edits))
+        assert exc.value.issues == issues
+
     def test_empty_stack_rejected(self):
         bad = GOOD.replace("unit1 = plate m1 0.6\n", "").replace("unit2 = plate m2 0.81\n", "")
         with pytest.raises(ConfigError) as exc:
@@ -71,6 +275,13 @@ class TestParseConfig:
         (line, msg), *_ = exc.value.issues
         assert "wibble" in msg
         assert line == lines.index("wibble = 3") + 1
+
+    @pytest.mark.parametrize("case", sorted(MESSAGE_CASES))
+    def test_messages_pinned(self, case):
+        edits, issues = MESSAGE_CASES[case]
+        with pytest.raises(ConfigError) as exc:
+            sc.parse_config(_edited(*edits))
+        assert exc.value.issues == issues
 
     def test_fig2_preset_constants(self):
         scene = sc.preset("paper-fig2")

@@ -25,7 +25,7 @@ from pcfilm.layer import (
     sphere_plane_smatrix,
     star_product,
 )
-from pcfilm.mie import Material, SphereScatterer, VACUUM, branch_sqrt
+from pcfilm.mie import Material, SphereScatterer, VACUUM, branch_sqrt, mie_t
 
 OM = 0.9
 
@@ -189,9 +189,8 @@ class TestSpherePlane:
     def test_index_matched_identity(self):
         host = Material(5.0 + 0.2j)
         beams = beam_set(SQUARE, OM, (0.0, 0.0), host, abs(OM * host.n) + 2 * math.pi)
-        sc = structure_constants(SQUARE, OM, (0.0, 0.0), host, 4)
         plane = PlaneOfSpheres(SQUARE, SphereScatterer(0.3, host, host))
-        S = sphere_plane_smatrix(plane, sc, beams, 4)
+        S = sphere_plane_smatrix(plane, beams, 4)
         n = S.tpp.shape[0]
         assert np.max(np.abs(S.tpp - np.eye(n))) < 1e-10
         assert np.max(np.abs(S.rpm)) < 1e-10
@@ -201,9 +200,8 @@ class TestSpherePlane:
         host = Material(12.0)
         omega = 2.27 / math.sqrt(2.0)
         beams = beam_set(SQUARE, omega, (0.0, 0.0), host, omega * math.sqrt(12.0) + 2 * math.pi)
-        sc = structure_constants(SQUARE, omega, (0.0, 0.0), host, 7)
         plane = PlaneOfSpheres(SQUARE, SphereScatterer(0.30618621, Material(1.0), host))
-        S = sphere_plane_smatrix(plane, sc, beams, 7)
+        S = sphere_plane_smatrix(plane, beams, 7)
         prop = np.repeat(beams.propagating, 2)
         for j in np.where(prop)[0]:
             flux = np.sum(np.abs(S.tpp[prop, j]) ** 2) + np.sum(np.abs(S.rpm[prop, j]) ** 2)
@@ -212,9 +210,8 @@ class TestSpherePlane:
     def test_dilute_born_limit(self):
         omega, radius = 0.5, 0.02
         beams = _vac_beams(omega)
-        sc = structure_constants(SQUARE, omega, (0.0, 0.0), VACUUM, 7)
         plane = PlaneOfSpheres(SQUARE, SphereScatterer(radius, Material(4.0), VACUUM))
-        S = sphere_plane_smatrix(plane, sc, beams, 7)
+        S = sphere_plane_smatrix(plane, beams, 7)
         t_e, t_m = mie_oracle(radius, 4.0, 1.0, omega, 1)
         born = (3.0 * math.pi / omega**2) * (t_e[0] - t_m[0])
         assert abs(S.rpm[0, 0] - born) < 0.03 * abs(born)
@@ -222,14 +219,40 @@ class TestSpherePlane:
     def test_z_mirror_symmetry(self):
         host = Material(12.0 + 0.1j)
         beams = beam_set(SQUARE, OM, (0.2, 0.1), host, abs(OM * host.n) + 2 * math.pi)
-        sc = structure_constants(SQUARE, OM, (0.2, 0.1), host, 5)
         plane = PlaneOfSpheres(SQUARE, SphereScatterer(0.30618621, Material(1.0), host))
-        S = sphere_plane_smatrix(plane, sc, beams, 5)
+        S = sphere_plane_smatrix(plane, beams, 5)
         # mirror z -> -z flips the p basis vector sign: S_down = D S_up D
         n = S.tpp.shape[0]
         d = np.array([1.0 if i % 2 == 0 else -1.0 for i in range(n)])
         assert np.max(np.abs(S.tpp - d[:, None] * S.tmm * d[None, :])) < 1e-12
         assert np.max(np.abs(S.rpm - d[:, None] * S.rmp * d[None, :])) < 1e-12
+
+    def test_offset_plane_vs_oracle_maps(self):
+        # the offset enters as D^-1 S D; the oracle maps carry it as Bloch
+        # phases of each beam instead
+        host = Material(12.0 + 0.1j)
+        omega, lmax, kpar, offset = 2.2 / math.sqrt(2.0), 5, (0.7, -0.3), (0.5, 0.25)
+        beams = beam_set(SQUARE, omega, kpar, host, 12.0)
+        sphere = SphereScatterer(0.30618621, Material(1.0), host)
+        S = sphere_plane_smatrix(PlaneOfSpheres(SQUARE, sphere, offset), beams, lmax)
+
+        a_plus, a_minus, c_up, c_down = _maps_per_direction(
+            beams, host.wavenumber(omega), offset, SQUARE.area, lmax
+        )
+        t_e, t_m = mie_t(sphere, omega, lmax)
+        lidx = np.array([l for l, _ in vswf.lm_list(lmax)])
+        tdiag = np.concatenate([t_m[lidx - 1], t_e[lidx - 1]])
+        omega_mat = structure_constants(SQUARE, omega, kpar, host, lmax)
+        scatter = np.linalg.solve(np.eye(tdiag.size) - tdiag[:, None] * omega_mat, np.diag(tdiag))
+        eye = np.eye(2 * beams.n_beams)
+        want = (
+            eye + c_up @ scatter @ a_plus,
+            c_down @ scatter @ a_plus,
+            c_up @ scatter @ a_minus,
+            eye + c_down @ scatter @ a_minus,
+        )
+        for got, w in zip((S.tpp, S.rpm, S.rmp, S.tmm), want):
+            assert np.max(np.abs(got - w)) <= 1e-12 * np.max(np.abs(w))
 
     def test_overlapping_spheres_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -237,7 +260,7 @@ class TestSpherePlane:
 
 
 def _maps_per_direction(beams, k, offset, area, lmax):
-    """The beam maps of _beam_multipole_maps, one beam, sign and polarization at a time."""
+    """The beam maps of a plane at ``offset``, one beam, sign and polarization at a time."""
     n, nv = beams.n_beams, vswf.nlm(lmax)
     a = {s: np.zeros((2 * nv, 2 * n), dtype=complex) for s in (1, -1)}
     c = {s: np.zeros((2 * n, 2 * nv), dtype=complex) for s in (1, -1)}
@@ -268,8 +291,11 @@ class TestBeamMultipoleMaps:
         travelling = np.abs(beams.kz.real) > np.abs(beams.kz.imag)  # the host is lossy
         assert travelling.any() and not travelling.all()
         k = host.wavenumber(omega)
-        got = _beam_multipole_maps(beams, k, offset, SQUARE.area, lmax)
+        a_plus, a_minus, c_up, c_down = _beam_multipole_maps(beams, k, SQUARE.area, lmax)
         want = _maps_per_direction(beams, k, offset, SQUARE.area, lmax)
+        # moving the plane by the offset is the conjugation of displaced_smatrix
+        d = np.repeat(np.exp(1j * (beams.kt @ np.asarray(offset))), 2)
+        got = (a_plus * d, a_minus * d, c_up / d[:, None], c_down / d[:, None])
         for g, w in zip(got, want):
             cols = (w, g) if w.shape[0] > w.shape[1] else (w.T, g.T)  # one column per beam port
             scale = np.max(np.abs(cols[0]), axis=0)

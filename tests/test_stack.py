@@ -184,6 +184,15 @@ class TestSolveStack:
         assert ps.R == pytest.approx(solve_stack(desc, OM, 0.3, 0.0, "s").R, abs=1e-14)
         assert pp.R == pytest.approx(solve_stack(desc, OM, 0.3, 0.0, "p").R, abs=1e-14)
 
+    def test_transparent_lossy_exit_rejected(self):
+        # no beam propagates in a lossy exit, so T would read 0 and A take the
+        # transmitted flux; only a lossless exit may be transparent
+        with pytest.raises(InvalidArgumentError, match="must be opaque"):
+            StackDescription((), exit=Material(12.0 + 7.0j), opaque_exit=False)
+        desc = StackDescription((Plate(0.3, Material(4.0)),), exit=Material(2.0), opaque_exit=False)
+        p = solve_stack(desc, OM, 0.0, 0.0, "s")
+        assert p.T > 0 and abs(p.R + p.T - 1.0) < 1e-12
+
     def test_invalid_inputs_rejected(self):
         desc = StackDescription(())
         with pytest.raises(InvalidArgumentError):
