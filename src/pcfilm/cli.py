@@ -25,7 +25,7 @@ from .layer import Plate
 from .mie import Material, SphereScatterer, mie_cross_sections, mie_t
 from .onedim import OneDimLayer, solve_onedim
 from .output import fmt9, write_band_svg, write_csv, write_heatmap_svg
-from .stack import Repeat, slice_smatrix, solve_stack_points, walk_stack
+from .stack import Repeat, slice_smatrix, walk_stack
 
 
 def _load_scene(args) -> sc.Scene:
@@ -226,32 +226,27 @@ def run_validate(scene: sc.Scene):
     checks.append(("planck-normalization", abs(np.trapezoid(pw.weighted, grid) - 1.0), 1e-6))
 
     ll = _lossless_variant(scene)
-    desc = ll.build_stack()
-    controls = ll.controls()
     om_int = ll.omega_internal(ll.omega_display_grid())
     om_pts = om_int[[0, om_int.size // 2, -1]]
     th_pts = (0.0, math.radians(40.0))
-    resid = 0.0
-    for om in om_pts:
-        for th in th_pts:
-            for p in solve_stack_points(desc, float(om), th, 0.0, POLS, controls):
-                resid = max(resid, abs(p.R + p.T - 1.0))
+    emap = angular_map(ll.build_stack(), om_pts, th_pts, ll.controls())
+    resid = float(np.max(np.abs(emap.R + emap.T - 1.0)))
     layers = _plate_layers(scene)
     checks.append(("energy-conservation", resid, 1e-10 if layers is not None else 1e-6))
 
     if layers is not None:
-        desc_l = scene.build_stack()
-        resid = 0.0
-        for om in om_pts:
-            for th in th_pts:
-                pts = solve_stack_points(desc_l, float(om), th, 0.0, POLS, scene.controls())
-                for p in pts:
-                    R1, T1, A1 = solve_onedim(
-                        layers, float(om), th, p.pol,
-                        desc_l.incident, desc_l.exit, desc_l.exit_is_opaque,
-                    )
-                    resid = max(resid, abs(p.R - R1), abs(p.T - T1), abs(p.A - A1))
-        checks.append(("dual-engine", resid, 1e-10))
+        desc = scene.build_stack()
+        emap = angular_map(desc, om_pts, th_pts, scene.controls())
+        onedim = np.array([
+            [
+                [solve_onedim(layers, float(om), th, pol, desc.incident, desc.exit,
+                              desc.exit_is_opaque) for pol in POLS]
+                for th in th_pts
+            ]
+            for om in om_pts
+        ])
+        rta = np.stack([emap.R, emap.T, emap.A], axis=-1)
+        checks.append(("dual-engine", float(np.max(np.abs(rta - onedim))), 1e-10))
     else:
         sphere = _first_scatterer(scene)
         host = Material(complex(sphere.host.eps).real)

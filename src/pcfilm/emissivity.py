@@ -127,7 +127,6 @@ def planck_b(x):
 class PlanckWeighted:
     """Planck-weighted spectrum with the grid's coverage of the full integral."""
 
-    omega_grid: np.ndarray
     weighted: np.ndarray
     coverage: float
     low_coverage: bool
@@ -154,7 +153,6 @@ def planck_weight(omega_grid, emissivity, x0: float) -> PlanckWeighted:
         raise InvalidArgumentError("Planck weight vanishes on the given grid")
     coverage = float(np.trapezoid(planck_b(x), x) / PLANCK_INTEGRAL)
     return PlanckWeighted(
-        omega_grid=omega_grid,
         weighted=emissivity * b / norm,
         coverage=coverage,
         low_coverage=coverage < 0.80,

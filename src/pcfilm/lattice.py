@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import wofz
+from scipy.special import erfc
 
 from . import specfun as sf
 from . import vswf
@@ -31,12 +31,6 @@ from .mie import Material, branch_sqrt_array
 
 _I_POW = (1.0, 1.0j, -1.0, -1.0j)  # i^M exactly, index M % 4
 _EWALD_TOL = 1e-12  # shell-convergence threshold of lattice_sums_ewald
-
-
-def _cerfc(z):
-    """erfc for complex argument(s) via the Faddeeva function."""
-    z = np.asarray(z, dtype=complex)
-    return np.exp(-z * z) * wofz(1j * z)
 
 
 @dataclass(frozen=True)
@@ -112,9 +106,7 @@ class BeamSet:
     kpar: tuple[float, float]
     fold_shift: tuple[int, int]
     ambient: Material
-    cutoff: float
     g_ints: tuple[tuple[int, int], ...]
-    g: np.ndarray           # (n, 2) reciprocal vectors
     kt: np.ndarray          # (n, 2) in-plane wave vectors kpar + g
     kz: np.ndarray          # (n,) complex, branch rule
     propagating: np.ndarray  # (n,) bool
@@ -148,7 +140,6 @@ def beam_set(lat: Lattice2D, omega: float, kpar, ambient: Material, cutoff: floa
     keep = np.flatnonzero(kt2 <= cutoff * cutoff + 1e-12)
     keep = keep[_sorted_by_norm(kt2[keep], n1[keep], n2[keep])]
     g_ints = tuple((int(i), int(j)) for i, j in zip(n1[keep], n2[keep]))
-    g = g[keep]
     kt = kt[keep]
     kz = branch_sqrt_array(k2 - kt2[keep])
     prop = kz.imag == 0.0
@@ -157,9 +148,7 @@ def beam_set(lat: Lattice2D, omega: float, kpar, ambient: Material, cutoff: floa
         kpar=(float(kf[0]), float(kf[1])),
         fold_shift=shift,
         ambient=ambient,
-        cutoff=float(cutoff),
         g_ints=g_ints,
-        g=g,
         kt=kt,
         kz=kz,
         propagating=prop,
@@ -173,7 +162,7 @@ def _inc_gamma_half(nmax: int, x, sqrt_x) -> np.ndarray:
     """
     sqrt_x = np.asarray(sqrt_x, dtype=complex)
     out = np.zeros(sqrt_x.shape + (nmax + 1,), dtype=complex)
-    out[..., 0] = math.sqrt(math.pi) * _cerfc(sqrt_x)
+    out[..., 0] = math.sqrt(math.pi) * erfc(sqrt_x)
     ex = np.exp(-np.asarray(x))
     for n in range(1, nmax + 1):
         s = 0.5 - (n - 1)
@@ -191,8 +180,8 @@ def _tail_integrals(lmax: int, r, k: complex, eta: float) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     a = r * eta + 1j * k / (2 * eta)
     b = r * eta - 1j * k / (2 * eta)
-    ep = np.exp(1j * k * r) * _cerfc(a)
-    em = np.exp(-1j * k * r) * _cerfc(b)
+    ep = np.exp(1j * k * r) * erfc(a)
+    em = np.exp(-1j * k * r) * erfc(b)
     prev2 = 1j * math.sqrt(math.pi) / (2 * k) * (ep - em)   # I_{-1}
     prev1 = math.sqrt(math.pi) / (4 * r) * (ep + em)        # I_0
     out = np.zeros(r.shape + (lmax + 1,), dtype=complex)

@@ -2,8 +2,8 @@
 
 CSV is RFC-4180 (CRLF, minimal quoting) with 9 significant digits and a
 fixed column order, so identical runs produce byte-identical files.  SVG
-heatmaps and band plots are emitted natively (rectangles, polylines, axis
-text) as SVG 1.1 — no plotting dependency.
+heatmaps and band plots are emitted natively (rectangles, lines, circles,
+axis text) as SVG 1.1 — no plotting dependency.
 """
 
 from __future__ import annotations
@@ -78,12 +78,6 @@ class _Svg:
         self.parts.append(
             f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
             f'stroke="{stroke}" stroke-width="{width}"/>'
-        )
-
-    def polyline(self, pts, stroke="black", width=1.2):
-        body = " ".join(f"{x:.2f},{y:.2f}" for x, y in pts)
-        self.parts.append(
-            f'<polyline points="{body}" fill="none" stroke="{stroke}" stroke-width="{width}"/>'
         )
 
     def circle(self, x, y, r, fill="black"):

@@ -6,6 +6,8 @@ Conventions used throughout the package:
   phase.  For directions with complex polar angle (evanescent beams) both
   cos(theta) and sin(theta) are passed explicitly, so no square-root branch
   is ever taken inside the recurrences.
+* The radial functions j_l and h^(1)_l come from ``scipy.special`` (the
+  AMOS complex Bessel routines, Amos, ACM TOMS 12, 265 (1986)).
 * ``Ybar_lm = (-1)^m Y_{l,-m}`` is the analytic continuation of the complex
   conjugate; it coincides with conj(Y_lm) for real angles.
 """
@@ -17,6 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import hankel1, spherical_jn
 
 from .errors import InvalidArgumentError, SingularArgumentError
 
@@ -25,70 +28,32 @@ LMAX_DEFAULT = 7
 LMAX_CAP = 14
 
 
-def sph_bessel(lmax: int, z: complex) -> np.ndarray:
-    """Spherical Bessel functions j_0..j_lmax at complex argument z.
-
-    Upward recurrence where it is stable (|z| > lmax), downward Miller
-    recurrence otherwise, normalized against the closed-form j_0.
-    """
+def _checked_argument(lmax: int, z) -> complex:
+    """z as a complex number, once lmax and z pass the radial functions' checks."""
     if lmax < 0:
         raise InvalidArgumentError(f"lmax must be >= 0, got {lmax}")
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise InvalidArgumentError(f"non-finite argument {z!r}")
-    out = np.zeros(lmax + 1, dtype=complex)
-    if z == 0:
-        out[0] = 1.0
-        return out
-    if abs(z) > lmax + 1:
-        # upward recurrence is stable here
-        out[0] = np.sin(z) / z
-        if lmax >= 1:
-            out[1] = np.sin(z) / z**2 - np.cos(z) / z
-        for l in range(2, lmax + 1):
-            out[l] = (2 * l - 1) / z * out[l - 1] - out[l - 2]
-        return out
-    # Miller's downward recurrence from a padded start order
-    nstart = lmax + int(abs(z)) + 20
-    jp = 0.0 + 0.0j
-    jc = 1e-30 + 0.0j
-    tmp = np.zeros(lmax + 1, dtype=complex)
-    for l in range(nstart, -1, -1):
-        jm = (2 * l + 3) / z * jc - jp
-        jp, jc = jc, jm
-        if l <= lmax:
-            tmp[l] = jc
-        # rescale to avoid overflow of the unnormalized solution
-        if abs(jc) > 1e250:
-            jp /= 1e250
-            jc /= 1e250
-            tmp *= 1e-250
-    j0 = np.sin(z) / z
-    scale = j0 / tmp[0]
-    return tmp * scale
+    return z
+
+
+def sph_bessel(lmax: int, z: complex) -> np.ndarray:
+    """Spherical Bessel functions j_0..j_lmax at complex argument z."""
+    z = _checked_argument(lmax, z)
+    return spherical_jn(np.arange(lmax + 1), z)
 
 
 def sph_hankel1(lmax: int, z: complex) -> np.ndarray:
     """Outgoing spherical Hankel functions h^(1)_0..h^(1)_lmax.
 
-    Seeds h_0, h_1 are closed forms free of cancellation; upward recurrence
-    is stable because |h_l| grows with l.
+    From the cylinder function, h_l = sqrt(pi / 2z) H^(1)_{l+1/2}(z); the
+    sum j + i y would cancel for Im z > 0, where h decays while j, y grow.
     """
-    if lmax < 0:
-        raise InvalidArgumentError(f"lmax must be >= 0, got {lmax}")
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise InvalidArgumentError(f"non-finite argument {z!r}")
+    z = _checked_argument(lmax, z)
     if z == 0:
         raise SingularArgumentError("h^(1)_l is singular at z = 0")
-    out = np.zeros(lmax + 1, dtype=complex)
-    eiz = np.exp(1j * z)
-    out[0] = -1j * eiz / z
-    if lmax >= 1:
-        out[1] = -eiz * (z + 1j) / z**2
-    for l in range(2, lmax + 1):
-        out[l] = (2 * l - 1) / z * out[l - 1] - out[l - 2]
-    return out
+    return np.sqrt(math.pi / (2 * z)) * hankel1(np.arange(lmax + 1) + 0.5, z)
 
 
 def zl_derivative(zl: np.ndarray, z: complex) -> np.ndarray:

@@ -138,12 +138,23 @@ class StackWalk:
     ``exit`` is the ambient after the last element; ``media`` the set of eps
     that fixes the beam cutoff (the first and last ambient, every ambient a
     Repeat runs in, every plate material); ``plane`` the first sphere plane
-    in depth-first order, or None.
+    in depth-first order, or None.  Every sphere plane shares its lattice.
     """
 
     exit: Material
     media: frozenset
     plane: PlaneOfSpheres | None
+
+
+def _first_plane(plane, other):
+    """The walk's first sphere plane, once ``other`` is checked against its lattice."""
+    if plane is None:
+        return other
+    if other is not None and other.lattice != plane.lattice:
+        raise InvalidArgumentError(
+            f"sphere plane lattice {other.lattice} != first plane lattice {plane.lattice}"
+        )
+    return plane
 
 
 def walk_stack(elements, ambient: Material) -> StackWalk:
@@ -162,13 +173,13 @@ def walk_stack(elements, ambient: Material) -> StackWalk:
             if sub.exit.eps != ambient.eps:
                 raise InvalidArgumentError("repeated sub-stack must preserve the ambient medium")
             media |= sub.media
-            plane = plane or sub.plane
+            plane = _first_plane(plane, sub.plane)
         elif isinstance(el, PlaneOfSpheres):
             if el.scatterer.host.eps != ambient.eps:
                 raise InvalidArgumentError(
                     f"sphere plane host eps={el.scatterer.host.eps} != ambient eps={ambient.eps}"
                 )
-            plane = plane or el
+            plane = _first_plane(plane, el)
         elif isinstance(el, Plate):
             media.add(complex(el.material.eps))
         elif not isinstance(el, Gap):
@@ -238,6 +249,10 @@ def _builder(elements, ambient, omega, kpar, controls, lat=None, exit_mat=None):
     cutoff = controls.resolved_cutoff(omega, eps_max, float(np.hypot(*kpar)))
     if lat is None:
         lat = walk.plane.lattice if walk.plane is not None else SQUARE
+    elif walk.plane is not None and lat != walk.plane.lattice:
+        raise InvalidArgumentError(
+            f"beam lattice {lat} != sphere plane lattice {walk.plane.lattice}"
+        )
     return _LayerBuilder(lat, omega, kpar, cutoff, controls.lmax), walk.exit
 
 

@@ -170,11 +170,6 @@ def _coupling(lmax: int):
     return np.concatenate([u, u], axis=1), emb, rec
 
 
-def _unsigned_zeros(a: np.ndarray) -> np.ndarray:
-    """a with every -0.0 part made +0.0, as if accumulated into np.zeros."""
-    return 0.0 + a
-
-
 def _ipow(lam: np.ndarray, base: complex) -> np.ndarray:
     """base**lam elementwise, each power taken as Python's complex power."""
     return np.array([base**n for n in range(lam.max() + 1)])[lam]
@@ -191,7 +186,7 @@ def _pw_matrices(lmax: int) -> np.ndarray:
     """
     u, _, rec = _coupling(lmax)
     lam = _scalar_index_arrays(lmax + 1)[0]
-    return _unsigned_zeros(rec * 4.0 * math.pi * _ipow(lam, 1j) * u)
+    return rec * 4.0 * math.pi * _ipow(lam, 1j) * u
 
 
 @lru_cache(maxsize=8)
@@ -271,7 +266,7 @@ def _vector_maps(lmax: int):
     """
     u, emb, rec = _coupling(lmax)
     embed = np.ascontiguousarray((emb * u).transpose(0, 2, 1))
-    return _unsigned_zeros(embed), _unsigned_zeros(rec * u)
+    return embed, rec * u
 
 
 def translation_matrix(lmax: int, s_table: dict) -> np.ndarray:

@@ -180,8 +180,9 @@ MESSAGE_CASES = {
 
 
 # stacks the walk rejects, which parse_config must report as ConfigError; a
-# sphere plane always takes the ambient it sits in as its host, so config
-# text cannot give the walk's sphere-host mismatch
+# sphere plane always takes the ambient it sits in as its host and the scene
+# lattice as its lattice, so config text cannot give the walk's sphere-host
+# or lattice mismatch
 WALK_CASES = {
     "interface-left-not-ambient": (
         [("unit1 = plate m1 0.6", "pre1 = interface m2 m1\nunit1 = plate m1 0.6")],

@@ -85,6 +85,15 @@ class TestSphHankel:
             ref = mp_sph_h1(l, z)
             assert abs(h[l] - ref) <= 1e-12 * abs(ref)
 
+    def test_lower_half_plane_high_order_vs_oracle(self):
+        # no passive medium reaches Im z < 0; this pins the public function,
+        # where an upward recurrence from h_0, h_1 loses digits with l
+        z = 0.41 - 8.57j
+        h = sph_hankel1(12, z)
+        for l in range(13):
+            ref = mp_sph_h1(l, z)
+            assert abs(h[l] - ref) <= 1e-12 * abs(ref)
+
     @given(
         r=st.floats(1e-3, 50.0),
         phase=st.floats(0.0, 2.0 * math.pi),

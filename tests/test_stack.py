@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import fresnel_power_reflectance
 from pcfilm.errors import InvalidArgumentError
-from pcfilm.lattice import SQUARE, beam_set
+from pcfilm.lattice import SQUARE, TRIANGULAR, beam_set
 from pcfilm.layer import (
     Plate,
     PlaneOfSpheres,
@@ -233,15 +233,21 @@ class TestSolveStack:
         assert min(ps.E, pp.E) < 0.2
 
 
+_SPHERE = SphereScatterer(0.2, Material(4.0), VACUUM)
+
+
 def _bad_stacks():
     """Element sequences in a vacuum ambient that the stack walk must reject."""
     dense = Material(4.0)
     sphere_in_dense = SphereScatterer(0.2, Material(2.0), dense)
+    square, triangular = (PlaneOfSpheres(lat, _SPHERE) for lat in (SQUARE, TRIANGULAR))
     return {
         "interface-left-not-ambient": (Interface(dense, VACUUM),),
         "sphere-host-not-ambient": (PlaneOfSpheres(SQUARE, sphere_in_dense),),
         "repeat-changes-ambient": (Repeat((Interface(VACUUM, dense),), 2),),
         "unknown-element": (Gap(0.1), "plate"),
+        "planes-on-two-lattices": (square, Gap(0.5), triangular),
+        "repeat-plane-on-other-lattice": (square, Repeat((Gap(0.5), triangular), 2)),
     }
 
 
@@ -256,3 +262,18 @@ class TestWalkChecks:
     def test_slice_smatrix_rejects(self, case):
         with pytest.raises(InvalidArgumentError):
             slice_smatrix(_bad_stacks()[case], VACUUM, OM, (0.0, 0.0), NumericalControls(lmax=2))
+
+    def test_planes_on_two_lattices_named(self):
+        desc = StackDescription(_bad_stacks()["planes-on-two-lattices"])
+        with pytest.raises(InvalidArgumentError) as exc:
+            solve_stack(desc, 2.0, math.radians(20.0), 0.0, "s")
+        assert str(SQUARE) in str(exc.value) and str(TRIANGULAR) in str(exc.value)
+
+    def test_beam_lattice_must_match_planes(self):
+        unit = (PlaneOfSpheres(SQUARE, _SPHERE),)
+        controls = NumericalControls(lmax=2)
+        with pytest.raises(InvalidArgumentError) as exc:
+            slice_smatrix(unit, VACUUM, OM, (0.0, 0.0), controls, lat=TRIANGULAR)
+        assert str(SQUARE) in str(exc.value) and str(TRIANGULAR) in str(exc.value)
+        # the planes' own lattice, given explicitly, is accepted
+        slice_smatrix(unit, VACUUM, OM, (0.0, 0.0), controls, lat=SQUARE)
