@@ -7,6 +7,11 @@ x axis (azimuth 0).  Amplitudes are flux-normalized at construction: the
 physical E-field amplitude is a / sqrt(kz), so |a|^2 is the z-flux carried
 by a propagating beam and lossless S-matrices are unitary on the propagating
 subspace.
+
+A layer that is diagonal in this basis (interface, gap, plate, identity)
+keeps only the four (2n,) diagonals of its blocks; ``star_product`` composes
+two of them beam by beam and a reflectionless one (a gap) with a dense layer
+by row and column scaling, so only dense pairs reach an LU solve.
 """
 
 from __future__ import annotations
@@ -22,12 +27,13 @@ from .errors import InvalidArgumentError, SingularSolveError
 from .lattice import BeamSet, Lattice2D, beam_kt2, structure_constants
 from .mie import Material, SphereScatterer, branch_sqrt, branch_sqrt_array, mie_t
 
-# Largest accepted condition number of a dense solve.  What is checked is a
-# probe estimate of the 2-norm condition number, ||A||_F max_j |A^-1 v_j| / |v_j|
-# over _N_PROBES fixed complex Gaussian vectors v_j (Dixon, SIAM J. Numer.
-# Anal. 20, 812 (1983)).  It never exceeds sqrt(n) cond_2(A); since
-# E |A^-1 v|^2 = ||A^-1||_F^2 for E v v^H = I, it is on average at least
-# cond_2(A) / sqrt(n).
+# Largest accepted condition number of a solve.  For a dense solve what is
+# checked is a probe estimate of the 2-norm condition number,
+# ||A||_F max_j |A^-1 v_j| / |v_j| over _N_PROBES fixed complex Gaussian
+# vectors v_j (Dixon, SIAM J. Numer. Anal. 20, 812 (1983)).  It never exceeds
+# sqrt(n) cond_2(A); since E |A^-1 v|^2 = ||A^-1||_F^2 for E v v^H = I, it is
+# on average at least cond_2(A) / sqrt(n).  For the diagonal denominator of
+# two diagonal layers it is exact: cond_2 = max |den| / min |den|.
 COND_REPORT_LIMIT = 1e10
 _N_PROBES = 2
 
@@ -68,21 +74,51 @@ class Plate:
             raise InvalidArgumentError(f"thickness must be >= 0, got {self.thickness}")
 
 
-@dataclass
+@dataclass(eq=False)
 class LayerS:
     """Four-block scattering matrix over (beam, polarization) ports.
 
     out+(right) = tpp @ in+(left) + rmp @ in-(right)
     out-(left)  = rpm @ in+(left) + tmm @ in-(right)
+
+    ``blocks`` holds (tpp, rpm, rmp, tmm) as 2n x 2n arrays or, for a layer
+    diagonal in the beam basis, as their (2n,) diagonals.  The attributes
+    tpp ... tmm are always the 2-D blocks, built on first use and cached.
     """
 
     beams: BeamSet
     mat_left: Material
     mat_right: Material
-    tpp: np.ndarray
-    rpm: np.ndarray
-    rmp: np.ndarray
-    tmm: np.ndarray
+    blocks: tuple
+
+    @property
+    def diagonal(self) -> bool:
+        return self.blocks[0].ndim == 1
+
+    @property
+    def reflectionless(self) -> bool:
+        """Diagonal with both reflection blocks zero, like a gap."""
+        return self.diagonal and not (self.blocks[1].any() or self.blocks[2].any())
+
+    def _dense(self, i: int) -> np.ndarray:
+        b = self.blocks[i]
+        return np.diag(b) if b.ndim == 1 else b
+
+    @functools.cached_property
+    def tpp(self) -> np.ndarray:
+        return self._dense(0)
+
+    @functools.cached_property
+    def rpm(self) -> np.ndarray:
+        return self._dense(1)
+
+    @functools.cached_property
+    def rmp(self) -> np.ndarray:
+        return self._dense(2)
+
+    @functools.cached_property
+    def tmm(self) -> np.ndarray:
+        return self._dense(3)
 
 
 def _diagonal_smatrix(
@@ -90,12 +126,11 @@ def _diagonal_smatrix(
 ) -> LayerS:
     """LayerS whose four blocks are diagonal, from their (2n,) diagonals or scalars."""
     n = 2 * beams.n_beams
-    blocks = []
+    diags = []
     for d in (tpp, rpm, rmp, tmm):
-        block = np.zeros((n, n), dtype=complex)
-        block.flat[:: n + 1] = d
-        blocks.append(block)
-    return LayerS(beams, mat_left, mat_right, *blocks)
+        d = np.asarray(d, dtype=complex)
+        diags.append(d if d.shape == (n,) else np.full(n, d))
+    return LayerS(beams, mat_left, mat_right, tuple(diags))
 
 
 def identity_smatrix(beams: BeamSet, mat: Material | None = None) -> LayerS:
@@ -194,8 +229,7 @@ def sphere_plane_smatrix(plane: PlaneOfSpheres, beams: BeamSet, lmax: int) -> La
     eye = np.eye(2 * beams.n_beams, dtype=complex)
     centred = LayerS(
         beams, host, host,
-        tpp=eye + c_up @ b_plus, rpm=c_down @ b_plus,
-        rmp=c_up @ b_minus, tmm=eye + c_down @ b_minus,
+        (eye + c_up @ b_plus, c_down @ b_plus, c_up @ b_minus, eye + c_down @ b_minus),
     )
     return displaced_smatrix(centred, plane.offset)
 
@@ -206,12 +240,13 @@ def displaced_smatrix(s: LayerS, offset) -> LayerS:
     At the moved layer, beam j carries the Bloch phase
     d_j = exp(i kt_j . offset) relative to the unmoved one, in both
     polarizations: incoming amplitudes pick it up, outgoing ones shed it.
+    A diagonal layer commutes with D and is returned as it is.
     """
-    if not np.any(offset):
+    if s.diagonal or not np.any(offset):
         return s
     d = np.repeat(np.exp(1j * (s.beams.kt @ np.asarray(offset, dtype=float))), 2)
-    blocks = (s.tpp, s.rpm, s.rmp, s.tmm)
-    return LayerS(s.beams, s.mat_left, s.mat_right, *((1.0 / d)[:, None] * b * d for b in blocks))
+    blocks = tuple((1.0 / d)[:, None] * b * d for b in s.blocks)
+    return LayerS(s.beams, s.mat_left, s.mat_right, blocks)
 
 
 def _beam_multipole_maps(beams: BeamSet, k: complex, area: float, lmax: int):
@@ -301,20 +336,67 @@ def plate_smatrix(
     )
 
 
+def _diagonal_star(s1: LayerS, s2: LayerS, context: str) -> LayerS:
+    """star_product of two diagonal layers, beam by beam.
+
+    The inter-layer matrix I - rmp1 rpm2 is diag(den); its exact 2-norm
+    condition number max |den| / min |den| is checked like a dense solve's.
+    """
+    tpp1, rpm1, rmp1, tmm1 = s1.blocks
+    tpp2, rpm2, rmp2, tmm2 = s2.blocks
+    den = 1.0 - rmp1 * rpm2
+    mag = np.abs(den)
+    lo, hi = mag.min(), mag.max()
+    if not (lo > 0.0 and hi < np.inf):  # also false for NaN
+        raise SingularSolveError(f"singular solve in {context}", condition=np.inf)
+    cond = float(hi / lo)
+    if cond > COND_REPORT_LIMIT:
+        raise SingularSolveError(
+            f"ill-conditioned solve in {context}: cond = {cond:.3e}", condition=cond
+        )
+    x12 = tpp1 / den
+    x21 = tmm2 / den
+    return _diagonal_smatrix(
+        s1.beams, s1.mat_left, s2.mat_right,
+        tpp2 * x12, rpm1 + tmm1 * rpm2 * x12, rmp2 + tpp2 * rmp1 * x21, tmm1 * x21,
+    )
+
+
 def star_product(s1: LayerS, s2: LayerS) -> LayerS:
-    """Redheffer composition (s1 to the left of s2), exact multiple reflections."""
+    """Redheffer composition (s1 to the left of s2), exact multiple reflections.
+
+    Two diagonal layers compose beam by beam.  A reflectionless diagonal
+    factor (a gap) scales the rows and columns of the other one, with no
+    solve.  Any other pair takes two dense LU solves.
+    """
     if s1.beams.g_ints != s2.beams.g_ints:
         raise InvalidArgumentError("star_product requires identical beam sets")
+    context = "star product inter-layer solve"
+    if s1.diagonal and s2.diagonal:
+        return _diagonal_star(s1, s2, context)
+    # t and m: the transmission diagonals of the gap
+    if s1.reflectionless:
+        t1, _, _, m1 = s1.blocks
+        tpp2, rpm2, rmp2, tmm2 = s2.blocks
+        blocks = (tpp2 * t1, m1[:, None] * rpm2 * t1, rmp2, m1[:, None] * tmm2)
+        return LayerS(s1.beams, s1.mat_left, s2.mat_right, blocks)
+    if s2.reflectionless:
+        tpp1, rpm1, rmp1, tmm1 = s1.blocks
+        t2, _, _, m2 = s2.blocks
+        blocks = (t2[:, None] * tpp1, rpm1, t2[:, None] * rmp1 * m2, tmm1 * m2)
+        return LayerS(s1.beams, s1.mat_left, s2.mat_right, blocks)
     n = s1.tpp.shape[0]
     eye = np.eye(n, dtype=complex)
-    x12 = _solve_reported(eye - s1.rmp @ s2.rpm, s1.tpp, "star product inter-layer solve")
-    x21 = _solve_reported(eye - s2.rpm @ s1.rmp, s2.tmm, "star product inter-layer solve")
+    x12 = _solve_reported(eye - s1.rmp @ s2.rpm, s1.tpp, context)
+    x21 = _solve_reported(eye - s2.rpm @ s1.rmp, s2.tmm, context)
     return LayerS(
         s1.beams,
         s1.mat_left,
         s2.mat_right,
-        tpp=s2.tpp @ x12,
-        rpm=s1.rpm + s1.tmm @ s2.rpm @ x12,
-        rmp=s2.rmp + s2.tpp @ s1.rmp @ x21,
-        tmm=s1.tmm @ x21,
+        (
+            s2.tpp @ x12,
+            s1.rpm + s1.tmm @ s2.rpm @ x12,
+            s2.rmp + s2.tpp @ s1.rmp @ x21,
+            s1.tmm @ x21,
+        ),
     )

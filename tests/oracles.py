@@ -37,16 +37,19 @@ except ImportError:  # older scipy
 mp.mp.dps = 30
 
 
+# sqrt(pi/2) C_{l+1/2}(z) / sqrt(z) with principal branches throughout: the
+# z^(l+1/2) branch of C cancels against sqrt(z), also on the negative real
+# axis, where sqrt(pi / (2 z)) would take the other sign of 1 / sqrt(z).
 def mp_sph_jn(l: int, z: complex) -> complex:
     if z == 0:
         return 1.0 + 0.0j if l == 0 else 0.0j
     z = mp.mpc(z)
-    return complex(mp.sqrt(mp.pi / (2 * z)) * mp.besselj(l + mp.mpf(1) / 2, z))
+    return complex(mp.sqrt(mp.pi / 2) * mp.besselj(l + mp.mpf(1) / 2, z) / mp.sqrt(z))
 
 
 def mp_sph_yn(l: int, z: complex) -> complex:
     z = mp.mpc(z)
-    return complex(mp.sqrt(mp.pi / (2 * z)) * mp.bessely(l + mp.mpf(1) / 2, z))
+    return complex(mp.sqrt(mp.pi / 2) * mp.bessely(l + mp.mpf(1) / 2, z) / mp.sqrt(z))
 
 
 def mp_sph_h1(l: int, z: complex) -> complex:
@@ -61,7 +64,7 @@ def _ricatti(kind, l, z):
         cyl = mp.besselj(l + half, w)
         if kind == "h":
             cyl = cyl + 1j * mp.bessely(l + half, w)
-        return w * mp.sqrt(mp.pi / (2 * w)) * cyl
+        return mp.sqrt(mp.pi / 2) * mp.sqrt(w) * cyl
 
     zz = mp.mpc(z)
     return complex(g(zz)), complex(mp.diff(g, zz))

@@ -17,7 +17,9 @@ from pcfilm.layer import (
     Plate,
     PlaneOfSpheres,
     _beam_multipole_maps,
+    _diagonal_smatrix,
     _solve_reported,
+    displaced_smatrix,
     gap_smatrix,
     identity_smatrix,
     interface_smatrix,
@@ -334,3 +336,90 @@ class TestIdentity:
         left = star_product(S, other)
         for a, b in ((left.tpp, other.tpp), (left.rpm, other.rpm)):
             assert np.max(np.abs(a - b)) < 1e-14
+
+
+def _dense_star(s1, s2):
+    """The dense Redheffer formula on the materialised blocks, as a reference."""
+    eye = np.eye(s1.tpp.shape[0])
+    x12 = np.linalg.solve(eye - s1.rmp @ s2.rpm, s1.tpp)
+    x21 = np.linalg.solve(eye - s2.rpm @ s1.rmp, s2.tmm)
+    return (
+        s2.tpp @ x12,
+        s1.rpm + s1.tmm @ s2.rpm @ x12,
+        s2.rmp + s2.tpp @ s1.rmp @ x21,
+        s1.tmm @ x21,
+    )
+
+
+class TestStarProductPaths:
+    """Each star_product path against the dense formula on the same blocks."""
+
+    HOST = Material(12.0 + 0.1j)
+
+    @staticmethod
+    def _check(got, want_diagonal, s1, s2):
+        assert got.diagonal is want_diagonal
+        for name, want in zip(("tpp", "rpm", "rmp", "tmm"), _dense_star(s1, s2)):
+            np.testing.assert_allclose(getattr(got, name), want, rtol=1e-13, atol=0, err_msg=name)
+
+    def test_lossless_plate_then_lossy_plate(self):
+        beams = TestDiagonalLayersVsLoop._beams()
+        s1 = plate_smatrix(Plate(0.3, Material(4.0)), beams, VACUUM, VACUUM)
+        s2 = plate_smatrix(Plate(0.5, Material(2.0 + 0.1j)), beams, VACUUM, VACUUM)
+        self._check(star_product(s1, s2), True, s1, s2)
+
+    def test_plate_then_interface_unequal_ambients(self):
+        beams = TestDiagonalLayersVsLoop._beams()
+        s1 = plate_smatrix(Plate(0.35, Material(12.0 + 0.1j)), beams, VACUUM, Material(2.25))
+        s2 = interface_smatrix(Material(2.25), Material(12.0 + 7.0j), beams)
+        got = star_product(s1, s2)
+        assert got.mat_left == VACUUM and got.mat_right == Material(12.0 + 7.0j)
+        self._check(got, True, s1, s2)
+
+    def _gap_and_plane(self):
+        omega = 2.2 / math.sqrt(2.0)
+        beams = beam_set(SQUARE, omega, (0.7, -0.3), self.HOST, 12.0)
+        sphere = SphereScatterer(0.30618621, Material(1.0), self.HOST)
+        plane = sphere_plane_smatrix(PlaneOfSpheres(SQUARE, sphere, (0.5, 0.25)), beams, 4)
+        return gap_smatrix(0.177, beams), plane
+
+    def test_gap_then_offset_plane(self):
+        gap, plane = self._gap_and_plane()
+        assert gap.reflectionless and not plane.diagonal
+        self._check(star_product(gap, plane), False, gap, plane)
+
+    def test_plane_then_gap(self):
+        gap, plane = self._gap_and_plane()
+        self._check(star_product(plane, gap), False, plane, gap)
+
+    @staticmethod
+    def _pair(r2_first):
+        """Two diagonal vacuum layers with den = 1 - r2_first in the first port."""
+        beams = _vac_beams()
+        n = 2 * beams.n_beams
+        rmp1 = np.zeros(n)
+        rmp1[0] = 1.0
+        rpm2 = np.zeros(n)
+        rpm2[0] = r2_first
+        s1 = _diagonal_smatrix(beams, VACUUM, VACUUM, 0.5, 0.0, rmp1, 0.5)
+        s2 = _diagonal_smatrix(beams, VACUUM, VACUUM, 0.5, rpm2, 0.0, 0.5)
+        return s1, s2
+
+    def test_diagonal_zero_denominator(self):
+        with pytest.raises(SingularSolveError, match="star product inter-layer solve") as err:
+            star_product(*self._pair(1.0))
+        assert err.value.condition == np.inf
+
+    def test_diagonal_ill_conditioned(self):
+        s1, s2 = self._pair(1.0 - 1e-11)
+        with pytest.raises(SingularSolveError, match="ill-conditioned") as err:
+            star_product(s1, s2)
+        assert COND_REPORT_LIMIT < err.value.condition < np.inf
+        # exact 2-norm condition number of the diagonal inter-layer matrix
+        cond2 = np.linalg.cond(np.eye(s1.tpp.shape[0]) - s1.rmp @ s2.rpm)
+        assert err.value.condition == pytest.approx(cond2, rel=1e-12)
+
+    def test_displaced_diagonal_layer_unchanged(self):
+        beams = TestDiagonalLayersVsLoop._beams()
+        for s in (gap_smatrix(0.4, beams), interface_smatrix(VACUUM, Material(2.25), beams)):
+            assert displaced_smatrix(s, (0.5, 0.25)) is s

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -59,6 +60,23 @@ class TestSphBessel:
         for l in range(1, lmax + 1):
             res = j[l - 1] + j[l + 1] - (2 * l + 1) / z * j[l]
             assert abs(res) < 1e-12 * scale
+
+
+class TestOracleNegativeRealAxis:
+    """The mpmath oracles keep the sign of j_l and y_l at Re z < 0, Im z = 0."""
+
+    @pytest.mark.parametrize("z", [-1.0, -2.5])
+    def test_closed_forms(self, z):
+        assert mp_sph_jn(0, z) == pytest.approx(math.sin(z) / z, abs=1e-15)
+        assert mp_sph_yn(0, z) == pytest.approx(-math.cos(z) / z, abs=1e-15)
+
+    @pytest.mark.parametrize("z", [-1.0, -2.5])
+    @pytest.mark.parametrize("l", range(4))
+    def test_vs_scipy(self, z, l):
+        jn, yn = scipy.special.spherical_jn(l, z), scipy.special.spherical_yn(l, z)
+        assert mp_sph_jn(l, z) == pytest.approx(jn, rel=1e-14, abs=1e-15)
+        assert mp_sph_yn(l, z) == pytest.approx(yn, rel=1e-14, abs=1e-15)
+        assert mp_sph_h1(l, z) == pytest.approx(jn + 1j * yn, rel=1e-14, abs=1e-15)
 
 
 class TestSphHankel:

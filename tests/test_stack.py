@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import fresnel_power_reflectance
+import pcfilm.layer as ly
+import pcfilm.stack as stk
 from pcfilm.errors import InvalidArgumentError
 from pcfilm.lattice import SQUARE, TRIANGULAR, beam_set
 from pcfilm.layer import (
@@ -277,3 +279,39 @@ class TestWalkChecks:
         assert str(SQUARE) in str(exc.value) and str(TRIANGULAR) in str(exc.value)
         # the planes' own lattice, given explicitly, is accepted
         slice_smatrix(unit, VACUUM, OM, (0.0, 0.0), controls, lat=SQUARE)
+
+
+def _record_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call's arguments."""
+    calls = []
+    original = getattr(module, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+class TestSolveCount:
+    """LU solves per point: only dense pairs and the sphere plane itself solve."""
+
+    def test_paper_fig3_solves_nothing(self, monkeypatch):
+        import pcfilm.scenes as sc
+
+        solves = _record_calls(monkeypatch, ly, "_solve_reported")
+        scene = sc.preset("paper-fig3")
+        omega = float(scene.omega_internal(np.array([2.3]))[0])
+        solve_stack_points(scene.build_stack(), omega, 0.5, 0.0, ("s", "p"), scene.controls())
+        assert solves == []
+
+    def test_gap_plane_gap_repeated(self, monkeypatch):
+        solves = _record_calls(monkeypatch, ly, "_solve_reported")
+        pairs = _record_calls(monkeypatch, stk, "star_product")
+        unit = (Gap(0.2), PlaneOfSpheres(SQUARE, _SPHERE), Gap(0.2))
+        solve_stack(StackDescription((Repeat(unit, 2),)), OM, 0.3, 0.0, "s")
+        # gap * plane and (gap plane) * gap scale; the doubling is dense * dense
+        dense = [not (a.diagonal or b.diagonal) for a, b in pairs]
+        assert dense == [False, False, True]
+        assert len(solves) == 1 + 2 * sum(dense)
