@@ -45,27 +45,39 @@ class BandPoint:
 
 
 def complex_bands(unit: LayerS, period: float, omega: float, kpar) -> BandPoint:
-    """All Bloch branches of the repeated unit slice at one (omega, kpar)."""
+    """All Bloch branches of the repeated unit slice at one (omega, kpar).
+
+    In the mirror sectors each sector's pencil is solved on its own and the
+    branches are concatenated, each eigenvector in its own sector's rows, so
+    branches of different sectors never overlap.
+    """
     if period <= 0:
         raise InvalidArgumentError(f"period must be > 0, got {period}")
     if unit.mat_left.eps != unit.mat_right.eps:
         raise InvalidArgumentError("unit slice must have the same ambient on both sides")
-    n = unit.tpp.shape[0]
+    tpp, rpm, rmp, tmm = (unit.stacked(i) for i in range(4))
+    n_sectors, n = tpp.shape[:2]
     eye = np.eye(n, dtype=complex)
     zero = np.zeros((n, n), dtype=complex)
-    a = np.block([[unit.tpp, unit.rmp], [zero, eye]])
-    b = np.block([[eye, zero], [unit.rpm, unit.tmm]])
-    try:
-        vals, vecs = scipy.linalg.eig(a, b)
-    except Exception as exc:  # scipy raises LinAlgError subclasses
-        raise ConvergenceError(
-            "generalized eigensolver failed",
-            {
-                "cond_a": np.linalg.cond(a),
-                "cond_b": np.linalg.cond(b),
-                "omega": omega,
-            },
-        ) from exc
+    sector_vals, sector_vecs = [], []
+    for s in range(n_sectors):
+        a = np.block([[tpp[s], rmp[s]], [zero, eye]])
+        b = np.block([[eye, zero], [rpm[s], tmm[s]]])
+        try:
+            vals, vecs = scipy.linalg.eig(a, b)
+        except Exception as exc:  # scipy raises LinAlgError subclasses
+            raise ConvergenceError(
+                "generalized eigensolver failed",
+                {
+                    "cond_a": np.linalg.cond(a),
+                    "cond_b": np.linalg.cond(b),
+                    "omega": omega,
+                },
+            ) from exc
+        sector_vals.append(vals)
+        sector_vecs.append(vecs)
+    vals = np.concatenate(sector_vals)
+    vecs = scipy.linalg.block_diag(*sector_vecs)  # each sector in its own rows
     keep = []
     for i, lam in enumerate(vals):
         if not np.isfinite(lam) or lam == 0:
@@ -94,7 +106,8 @@ def overlap_permutation(prev: BandPoint, cur: BandPoint) -> np.ndarray:
     """Column order of ``cur`` branches maximizing eigenvector overlap with ``prev``.
 
     Greedy assignment on |<v_prev, v_cur>|; used to keep band lines connected
-    across a frequency scan instead of sorting by eigenvalue.
+    across a frequency scan instead of sorting by eigenvalue.  Branches with
+    zero overlap (of different mirror sectors) are never paired.
     """
     p = prev.vectors / np.linalg.norm(prev.vectors, axis=0, keepdims=True)
     c = cur.vectors / np.linalg.norm(cur.vectors, axis=0, keepdims=True)
@@ -105,7 +118,7 @@ def overlap_permutation(prev: BandPoint, cur: BandPoint) -> np.ndarray:
     used = set()
     for _ in range(min(nprev, ncur)):
         i, j = np.unravel_index(np.argmax(work), work.shape)
-        if work[i, j] < 0:
+        if work[i, j] <= 0:
             break
         slot[i] = j
         used.add(j)

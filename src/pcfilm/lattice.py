@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import erfc
@@ -31,6 +31,8 @@ from .mie import Material, branch_sqrt_array
 
 _I_POW = (1.0, 1.0j, -1.0, -1.0j)  # i^M exactly, index M % 4
 _EWALD_TOL = 1e-12  # shell-convergence threshold of lattice_sums_ewald
+_FIRST_SHELLS = 6  # shells 0..5 in lattice_sums_ewald's first step: mostly all it needs
+_MAX_SHELL = 200
 
 
 @dataclass(frozen=True)
@@ -63,6 +65,18 @@ def reciprocal_basis(lat: Lattice2D) -> tuple[np.ndarray, np.ndarray]:
     b1 = (2.0 * math.pi / c) * np.array([lat.a2[1], -lat.a2[0]])
     b2 = (2.0 * math.pi / c) * np.array([-lat.a1[1], lat.a1[0]])
     return b1, b2
+
+
+@lru_cache(maxsize=64)
+def mirror_fixed(lat: Lattice2D, offset=(0.0, 0.0)) -> bool:
+    """Whether y -> -y maps the lattice, and the point ``offset`` modulo it, to themselves.
+
+    The mirror moves a point by (0, -2y), so a1, a2 and the offset must each
+    move by a lattice vector.
+    """
+    moves = -2.0 * np.array([[0.0, 0.0, 0.0], [lat.a1[1], lat.a2[1], offset[1]]])
+    n = np.linalg.solve(np.column_stack([lat.a1, lat.a2]), moves)
+    return bool(np.abs(n - np.rint(n)).max() <= 1e-9)
 
 
 def fold_to_zone(lat: Lattice2D, kpar) -> tuple[np.ndarray, tuple[int, int]]:
@@ -102,6 +116,7 @@ class BeamSet:
     the global branch rule; a beam is propagating iff kz is exactly real.
     """
 
+    lattice: Lattice2D
     omega: float
     kpar: tuple[float, float]
     fold_shift: tuple[int, int]
@@ -114,6 +129,21 @@ class BeamSet:
     @property
     def n_beams(self) -> int:
         return len(self.g_ints)
+
+    @cached_property
+    def mirror(self) -> np.ndarray | None:
+        """Index of the mirror image (y -> -y) of every beam, read-only.
+
+        None unless the lattice maps to itself and the folded kpar lies on
+        the x axis, so that the mirror maps the beam set onto itself.
+        """
+        if self.kpar[1] != 0.0 or not mirror_fixed(self.lattice):
+            return None
+        kt = [(round(x, 9), round(y, 9)) for x, y in self.kt.tolist()]
+        index = {v: j for j, v in enumerate(kt)}
+        image = np.array([index.get((x, -y), -1) for x, y in kt])
+        image.flags.writeable = False
+        return None if (image < 0).any() else image
 
 
 def beam_set(lat: Lattice2D, omega: float, kpar, ambient: Material, cutoff: float) -> BeamSet:
@@ -144,6 +174,7 @@ def beam_set(lat: Lattice2D, omega: float, kpar, ambient: Material, cutoff: floa
     kz = branch_sqrt_array(k2 - kt2[keep])
     prop = kz.imag == 0.0
     return BeamSet(
+        lattice=lat,
         omega=omega,
         kpar=(float(kf[0]), float(kf[1])),
         fold_shift=shift,
@@ -204,14 +235,24 @@ def _shell(s: int) -> tuple[np.ndarray, np.ndarray]:
     return n1[on], n2[on]
 
 
-@lru_cache(maxsize=32)
-def _lm_pairs(pmax: int):
-    return [(L, M) for L in range(pmax + 1) for M in range(-L, L + 1) if (L + M) % 2 == 0]
+@lru_cache(maxsize=64)
+def _shells(first: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs of _shell(s) for first <= s < stop, concatenated, and the s of each."""
+    parts = [_shell(s) for s in range(first, stop)]
+    n1, n2 = (np.concatenate(p) for p in zip(*parts))
+    return n1, n2, np.repeat(np.arange(first, stop), [p[0].size for p in parts])
 
 
 @lru_cache(maxsize=32)
-def _pair_tables(pmax: int):
-    """Vectorization tables over the (L, M) pair list.
+def _lm_pairs(pmax: int, half: bool):
+    """(L, M) with L <= pmax and L + M even; only M >= 0 if ``half``."""
+    return [(L, M) for L in range(pmax + 1) for M in range(0 if half else -L, L + 1)
+            if (L + M) % 2 == 0]
+
+
+@lru_cache(maxsize=32)
+def _pair_tables(pmax: int, half: bool):
+    """Vectorization tables over the (L, M) pair list _lm_pairs(pmax, half).
 
     Returns (Lidx, Midx, terms, norm, yvec0).  The reciprocal-space inner
     sum of pair i is sum_n coef * gtab[n] gpow[n] kt^(L-2n) over its nonzero
@@ -221,7 +262,7 @@ def _pair_tables(pmax: int):
     reciprocal-space prefactor, and yvec0 holds Y_LM at the in-plane
     direction phi = 0.
     """
-    pairs = _lm_pairs(pmax)
+    pairs = _lm_pairs(pmax, half)
     f = math.factorial
     start, n_of, power, coef = [], [], [], []
     for L, M in pairs:
@@ -247,28 +288,47 @@ def _azimuth_phases(phi: np.ndarray, midx: np.ndarray, pmax: int) -> np.ndarray:
 def lattice_sums_ewald(lat: Lattice2D, k: complex, kpar, pmax: int, eta: float | None = None) -> dict:
     """Ewald-accelerated S_{p,sigma} for all p <= pmax, sigma with p+sigma even.
 
-    Both sums run over square shells max(|n1|, |n2|) = s, one array step per
-    shell, and stop after two consecutive shells whose largest term is below
-    _EWALD_TOL relative to the running sum.
+    Both sums run over square shells max(|n1|, |n2|) = s and stop after two
+    consecutive shells whose largest term is below _EWALD_TOL relative to the
+    running sum.  The shells are evaluated in array steps of several shells
+    (_FIRST_SHELLS, then two at a time) and added one by one.
+
+    When the mirror y -> -y maps the lattice to itself and kpar lies on the
+    x axis, it maps every term of either sum to the term of the mirror point
+    with the azimuth negated.  Then only sigma >= 0 is summed, since
+    S_{p,-sigma} = (-1)^sigma S_{p,sigma}, and only over the points with
+    y >= 0: one with y > 0 stands for itself and its image, with the
+    azimuthal factor 2 cos(sigma phi) in place of exp(i sigma phi).
     """
     kpar = np.asarray(kpar, dtype=float)
+    half = kpar[1] == 0.0 and mirror_fixed(lat)
     area = lat.area
     if eta is None:
         eta = math.sqrt(math.pi) / math.sqrt(area)
     b1, b2 = reciprocal_basis(lat)
     a1 = np.array(lat.a1)
     a2 = np.array(lat.a2)
-    pairs = _lm_pairs(pmax)
-    lidx, midx, (start, n_of, power, coef), pair_norm, yvec0 = _pair_tables(pmax)
+    pairs = _lm_pairs(pmax, half)
+    lidx, midx, (start, n_of, power, coef), pair_norm, yvec0 = _pair_tables(pmax, half)
     pref1 = pair_norm / (area * k * (-2 * k) ** lidx)
     nmax = pmax // 2
     gexp = 2 * np.arange(nmax + 1) - 1
     pref2 = -2j / (k * math.sqrt(math.pi))
 
+    def upper(v):
+        """The points summed: on the mirror those with y >= 0."""
+        return v[:, 1] >= 0 if half else slice(None)
+
+    def azimuth(v):
+        """Azimuthal factor of every point and pair."""
+        az = _azimuth_phases(np.arctan2(v[:, 1], v[:, 0]), midx, pmax)
+        return np.where(v[:, 1] > 0, 2.0, 1.0)[:, None] * az.real if half else az
+
     def reciprocal(n1, n2):
         kg = kpar + n1[:, None] * b1 + n2[:, None] * b2
+        keep = upper(kg)
+        n1, n2, kg = n1[keep], n2[keep], kg[keep]
         kt = np.hypot(kg[:, 0], kg[:, 1])
-        phig = np.arctan2(kg[:, 1], kg[:, 0])
         gam = branch_sqrt_array(k * k - kt * kt)
         grazing = np.flatnonzero(np.abs(gam) < 1e-10 * abs(k))
         if grazing.size:
@@ -280,43 +340,52 @@ def lattice_sums_ewald(lat: Lattice2D, k: complex, kpar, pmax: int, eta: float |
         gtab = _inc_gamma_half(nmax, -gam * gam / (4 * eta * eta), -1j * gam / (2 * eta))
         gpow = gam[:, None] ** gexp
         ktpow = kt[:, None] ** np.arange(pmax + 1)
-        inner = np.add.reduceat(coef * (gtab * gpow)[:, n_of] * ktpow[:, power], start, axis=1)
-        return pref1 * _azimuth_phases(phig, midx, pmax) * inner
+        inner = (gtab * gpow)[:, n_of]  # in place from here: this is the largest array
+        inner *= coef
+        inner *= ktpow[:, power]
+        inner = np.add.reduceat(inner, start, axis=1)
+        return keep, pref1 * azimuth(kg) * inner
 
     def real(n1, n2):
         rv = n1[:, None] * a1 + n2[:, None] * a2
+        keep = upper(rv)
+        rv = rv[keep]
         r = np.hypot(rv[:, 0], rv[:, 1])
-        phi = np.arctan2(rv[:, 1], rv[:, 0])
         itab = _tail_integrals(pmax, r, k, eta)
         bloch = np.exp(1j * (kpar[0] * rv[:, 0] + kpar[1] * rv[:, 1]))
         rpow = (2 * r[:, None] / k) ** np.arange(pmax + 1)
-        return (pref2 * bloch[:, None] * rpow * itab)[:, lidx] * yvec0 * _azimuth_phases(
-            phi, midx, pmax
-        )
+        return keep, (pref2 * bloch[:, None] * rpow * itab)[:, lidx] * yvec0 * azimuth(rv)
 
     vec = np.zeros(len(pairs), dtype=complex)
     norm = 0.0
     # the reciprocal sum includes g = 0 (shell 0), the real-space sum excludes R = 0
     for part, first, shell_terms in (("reciprocal", 0, reciprocal), ("real", 1, real)):
-        quiet = 0
-        for s in range(first, 200):
-            terms = shell_terms(*_shell(s))
-            vec += terms.sum(axis=0)
-            ring = float(np.max(np.abs(terms)))
-            norm = max(norm, float(np.max(np.abs(vec))))
-            if s > 0 and ring < _EWALD_TOL * max(1.0, norm):
-                quiet += 1
-                if quiet >= 2:
-                    break
-            else:
-                quiet = 0
-        else:
-            raise ConvergenceError(
-                f"{part}-space Ewald sum did not converge",
-                {"eta": eta, "k": k, "kpar": tuple(kpar), "ring": ring},
-            )
+        quiet, s = 0, first
+        while quiet < 2:
+            if s >= _MAX_SHELL:
+                raise ConvergenceError(
+                    f"{part}-space Ewald sum did not converge",
+                    {"eta": eta, "k": k, "kpar": tuple(kpar), "ring": ring},
+                )
+            stop = min(_FIRST_SHELLS if s == first else s + 2, _MAX_SHELL)
+            n1, n2, shell = _shells(s, stop)
+            keep, terms = shell_terms(n1, n2)
+            bounds = np.searchsorted(shell[keep], np.arange(s, stop + 1))
+            for s, lo, hi in zip(range(s, stop), bounds[:-1], bounds[1:]):
+                vec += terms[lo:hi].sum(axis=0)
+                ring = float(np.max(np.abs(terms[lo:hi])))
+                norm = max(norm, float(np.max(np.abs(vec))))
+                if s > 0 and ring < _EWALD_TOL * max(1.0, norm):
+                    quiet += 1
+                    if quiet >= 2:
+                        break
+                else:
+                    quiet = 0
+            s += 1
 
     tab = {key: vec[i] for i, key in enumerate(pairs)}
+    if half:
+        tab.update({(L, -M): (-1) ** M * tab[L, M] for L, M in pairs if M > 0})
     # origin correction (L = 0 only)
     g_m12 = _inc_gamma_half(1, -k * k / (4 * eta * eta), -1j * k / (2 * eta))[1]
     tab[(0, 0)] += g_m12 / (4.0 * math.pi)

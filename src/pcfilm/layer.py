@@ -9,9 +9,23 @@ by a propagating beam and lossless S-matrices are unitary on the propagating
 subspace.
 
 A layer that is diagonal in this basis (interface, gap, plate, identity)
-keeps only the four (2n,) diagonals of its blocks; ``star_product`` composes
-two of them beam by beam and a reflectionless one (a gap) with a dense layer
-by row and column scaling, so only dense pairs reach an LU solve.
+keeps only the diagonals of its blocks; ``star_product`` composes two of them
+beam by beam and a reflectionless one (a gap) with a dense layer by row and
+column scaling, so only dense pairs reach an LU solve.
+
+Mirror sectors.  The mirror y -> -y sends beam (kx, ky) to (kx, -ky), s to
+-s and p to p, and multipole (l, m) to (l, -m) times (-1)^m, -1 on magnetic
+and +1 on electric channels.  Its even and odd eigenvectors, a channel it
+fixes or a pair (e_c +- e_c') / sqrt 2, split both spaces into two
+orthonormal sectors of equal size (``Sectors``).  A sphere plane on a
+lattice the mirror maps to itself is solved in them when kpar lies on the x
+axis (``BeamSet.mirror``), and stays there if the mirror also fixes its
+offset modulo the lattice.  ``LayerS.blocks`` then carry a leading sector
+axis of length 2 (1 in the full basis), so one batched solve or matmul
+serves both sectors.  ``star_product`` gathers full-basis diagonal layers
+into the sectors; any other layer outside them brings the product back to
+the full basis.  A stack thus runs in the sectors when it has a sphere plane
+and the mirror fixes the lattice, kpar and every plane offset.
 """
 
 from __future__ import annotations
@@ -24,7 +38,7 @@ import numpy as np
 
 from . import vswf
 from .errors import InvalidArgumentError, SingularSolveError
-from .lattice import BeamSet, Lattice2D, beam_kt2, structure_constants
+from .lattice import BeamSet, Lattice2D, beam_kt2, mirror_fixed, structure_constants
 from .mie import Material, SphereScatterer, branch_sqrt, branch_sqrt_array, mie_t
 
 # Largest accepted condition number of a solve.  For a dense solve what is
@@ -32,8 +46,10 @@ from .mie import Material, SphereScatterer, branch_sqrt, branch_sqrt_array, mie_
 # ||A||_F max_j |A^-1 v_j| / |v_j| over _N_PROBES fixed complex Gaussian
 # vectors v_j (Dixon, SIAM J. Numer. Anal. 20, 812 (1983)).  It never exceeds
 # sqrt(n) cond_2(A); since E |A^-1 v|^2 = ||A^-1||_F^2 for E v v^H = I, it is
-# on average at least cond_2(A) / sqrt(n).  For the diagonal denominator of
-# two diagonal layers it is exact: cond_2 = max |den| / min |den|.
+# on average at least cond_2(A) / sqrt(n).  In the mirror sectors A is
+# block diagonal: ||A||_F runs over both sectors and the growth is the
+# largest of either, so the estimate keeps these bounds.  For the diagonal
+# denominator of two diagonal layers it is exact: cond_2 = max |den| / min |den|.
 COND_REPORT_LIMIT = 1e10
 _N_PROBES = 2
 
@@ -74,6 +90,136 @@ class Plate:
             raise InvalidArgumentError(f"thickness must be >= 0, got {self.thickness}")
 
 
+@dataclass(frozen=True, eq=False)
+class Sectors:
+    """Orthonormal mirror-sector basis of a channel space: sector 0 even, 1 odd.
+
+    Vector k of sector s is w[0, s, k] e_a + w[1, s, k] e_b with
+    (a, b) = idx[:, s, k]: a channel the mirror fixes (b = a, weights 1 and
+    0) or a mirror pair a < b; a is the representative channel.  By rows,
+    channel c has the weight vrow[s, c] on vector pos[s, c] of sector s
+    (weight 0 where it has none).  All arrays are read-only.
+    """
+
+    idx: np.ndarray
+    w: np.ndarray
+    pos: np.ndarray
+    vrow: np.ndarray
+
+    def unfold(self, x: np.ndarray) -> np.ndarray:
+        """The full-basis matrix U blockdiag(x[0], x[1]) U^T of sector blocks x."""
+        m = x.shape[-1]
+        flat = self.pos + np.array([[0], [m]])
+        blk = np.zeros((2 * m, 2 * m), dtype=x.dtype)
+        blk[:m, :m], blk[m:, m:] = x
+        v = self.vrow
+        return sum(
+            v[s][:, None] * v[t] * blk[flat[s][:, None], flat[t]] for s in (0, 1) for t in (0, 1)
+        )
+
+    def unfold_column(self, x: np.ndarray, c: int) -> np.ndarray:
+        """Column c of unfold(x), gathered from the sector blocks alone."""
+        v, p = self.vrow, self.pos
+        return sum(v[s] * v[s, c] * x[s][p[s], p[s, c]] for s in (0, 1))
+
+
+def _sectors(partner: np.ndarray, sign: np.ndarray) -> Sectors:
+    """Sectors of the signed permutation e_c -> sign[c] e_partner[c], an involution."""
+    c = np.arange(partner.size)
+    rep = c[c <= partner]
+    pair = partner[rep] != rep
+    r = math.sqrt(0.5)
+    idx, w = [], []
+    for parity in (1.0, -1.0):
+        a = rep[pair | (sign[rep] == parity)]
+        paired = partner[a] != a
+        idx.append((a, partner[a]))
+        w.append((np.where(paired, r, 1.0), np.where(paired, parity * sign[a] * r, 0.0)))
+    idx = np.array(idx).transpose(1, 0, 2)
+    w = np.array(w).transpose(1, 0, 2)
+    pos = np.zeros((2, partner.size), dtype=int)
+    vrow = np.zeros((2, partner.size))
+    for s in (0, 1):
+        for q in (0, 1):
+            on = np.flatnonzero(w[q, s])
+            pos[s, idx[q, s, on]] = on
+            vrow[s, idx[q, s, on]] = w[q, s, on]
+    for arr in (idx, w, pos, vrow):
+        arr.flags.writeable = False
+    return Sectors(idx, w, pos, vrow)
+
+
+def beam_sectors(beams: BeamSet) -> Sectors | None:
+    """Sectors of the (beam, polarization) channels; None off the mirror."""
+    return None if beams.mirror is None else _beam_sectors(beams.mirror.tobytes())
+
+
+@functools.lru_cache(maxsize=16)
+def _beam_sectors(mirror: bytes) -> Sectors:
+    partner = np.frombuffer(mirror, dtype=int)
+    n = partner.size
+    return _sectors(np.repeat(2 * partner, 2) + np.tile([0, 1], n), np.tile([-1.0, 1.0], n))
+
+
+@functools.lru_cache(maxsize=8)
+def multipole_sectors(lmax: int) -> Sectors:
+    """Sectors of the (magnetic, electric) x lm_list(lmax) multipole channels."""
+    lms = vswf.lm_list(lmax)
+    partner = np.array([vswf.lm_index(l, -m) for l, m in lms])
+    parity = np.array([(-1.0) ** m for _, m in lms])
+    return _sectors(
+        np.concatenate([partner, partner + len(lms)]), np.concatenate([-parity, parity])
+    )
+
+
+def _fold_recipe(rows: np.ndarray, w0: np.ndarray, cols: Sectors, ncols: int):
+    """Flat gathers and weights of _fold for an x of ncols columns, read-only.
+
+    If x intertwines the mirrors (P_r x = x P_cols), row k of block s of
+    U_r^T x U_cols is row rows[s, k] of x U_cols over w0[s, k]: x is read at
+    representative rows only.  Dividing the weights first makes a mirror
+    pair on both sides combine with the exact factors +-1.
+    """
+    flat = rows[:, :, None] * ncols + cols.idx[:, :, None, :]
+    w = (cols.w[:, :, None, :] / w0[:, :, None]).astype(complex)
+    flat.flags.writeable = w.flags.writeable = False
+    return flat, w
+
+
+def _fold(x: np.ndarray, recipe) -> np.ndarray:
+    """Sector blocks (..., 2, m_r, m_c) of the matrices x (..., rows, ncols)."""
+    flat, w = recipe
+    g = x.reshape(x.shape[:-2] + (-1,))[..., flat]
+    return g[..., 0, :, :, :] * w[0] + g[..., 1, :, :, :] * w[1]
+
+
+@functools.lru_cache(maxsize=8)
+def _omega_fold(lmax: int):
+    """The _fold recipe of the structure constants Omega."""
+    lsec = multipole_sectors(lmax)
+    return _fold_recipe(lsec.idx[0], lsec.w[0], lsec, 2 * vswf.nlm(lmax))
+
+
+def _maps_fold(partner: np.ndarray, sectors: Sectors, lmax: int):
+    """One beam of each mirror pair, and the _fold recipe of its multipole maps."""
+    is_rep = np.arange(partner.size) <= partner
+    at = 2 * np.cumsum(is_rep).repeat(2) + np.tile([-2, -1], partner.size)  # row of a rep channel
+    ncols = 2 * vswf.nlm(lmax)
+    recipe = _fold_recipe(at[sectors.idx[0]], sectors.w[0], multipole_sectors(lmax), ncols)
+    return np.flatnonzero(is_rep), recipe
+
+
+def _embed_diagonal(d: np.ndarray) -> np.ndarray:
+    """(..., m, m) matrices with the diagonals d of shape (..., m)."""
+    out = np.zeros(d.shape + d.shape[-1:], dtype=d.dtype)
+    i = np.arange(d.shape[-1])
+    out[..., i, i] = d
+    return out
+
+
+_BLOCK_NAMES = ("tpp", "rpm", "rmp", "tmm")
+
+
 @dataclass(eq=False)
 class LayerS:
     """Four-block scattering matrix over (beam, polarization) ports.
@@ -81,28 +227,43 @@ class LayerS:
     out+(right) = tpp @ in+(left) + rmp @ in-(right)
     out-(left)  = rpm @ in+(left) + tmm @ in-(right)
 
-    ``blocks`` holds (tpp, rpm, rmp, tmm) as 2n x 2n arrays or, for a layer
-    diagonal in the beam basis, as their (2n,) diagonals.  The attributes
-    tpp ... tmm are always the 2-D blocks, built on first use and cached.
+    ``blocks`` holds (tpp, rpm, rmp, tmm) with a leading sector axis: of
+    length 1 over the 2n channels in the full basis (``sectors`` None), of
+    length 2 over n channels each in the mirror sectors.  Each block is
+    (S, m, m), or (S, m) diagonals for a layer diagonal in the beam basis.
+    The attributes tpp ... tmm are always the full-basis 2n x 2n blocks,
+    built on first use and cached.
     """
 
     beams: BeamSet
     mat_left: Material
     mat_right: Material
     blocks: tuple
+    sectors: Sectors | None = None
 
     @property
     def diagonal(self) -> bool:
-        return self.blocks[0].ndim == 1
+        return self.blocks[0].ndim == 2
 
     @property
     def reflectionless(self) -> bool:
         """Diagonal with both reflection blocks zero, like a gap."""
         return self.diagonal and not (self.blocks[1].any() or self.blocks[2].any())
 
-    def _dense(self, i: int) -> np.ndarray:
+    def stacked(self, i: int) -> np.ndarray:
+        """Block i as (S, m, m) matrices."""
         b = self.blocks[i]
-        return np.diag(b) if b.ndim == 1 else b
+        return _embed_diagonal(b) if b.ndim == 2 else b
+
+    def column(self, i: int, c: int) -> np.ndarray:
+        """Column c of the full-basis block i."""
+        if self.sectors is None:
+            return getattr(self, _BLOCK_NAMES[i])[:, c]
+        return self.sectors.unfold_column(self.stacked(i), c)
+
+    def _dense(self, i: int) -> np.ndarray:
+        b = self.stacked(i)
+        return b[0] if self.sectors is None else self.sectors.unfold(b)
 
     @functools.cached_property
     def tpp(self) -> np.ndarray:
@@ -121,15 +282,38 @@ class LayerS:
         return self._dense(3)
 
 
+def _full_basis(s: LayerS) -> LayerS:
+    """s with its blocks in the full basis."""
+    if s.sectors is None:
+        return s
+    blocks = tuple(getattr(s, name)[None] for name in _BLOCK_NAMES)
+    return LayerS(s.beams, s.mat_left, s.mat_right, blocks)
+
+
+def _common_basis(s1: LayerS, s2: LayerS) -> tuple[LayerS, LayerS]:
+    """The pair in the sectors of either if the other is a diagonal layer the
+    mirror fixes (equal entries on mirror pairs, as interfaces, gaps, plates
+    and identities have), else in the full basis."""
+    if (s1.sectors is None) == (s2.sectors is None):
+        return s1, s2
+    sectors, full = (s1.sectors, s2) if s2.sectors is None else (s2.sectors, s1)
+    if full.diagonal:
+        d = np.concatenate(full.blocks)[:, sectors.idx]  # (block, slot, sector, k)
+        if np.array_equal(d[:, 0], d[:, 1]):
+            moved = LayerS(full.beams, full.mat_left, full.mat_right, tuple(d[:, 0]), sectors)
+            return (moved, s2) if full is s1 else (s1, moved)
+    return _full_basis(s1), _full_basis(s2)
+
+
 def _diagonal_smatrix(
     beams: BeamSet, mat_left: Material, mat_right: Material, tpp, rpm, rmp, tmm
 ) -> LayerS:
-    """LayerS whose four blocks are diagonal, from their (2n,) diagonals or scalars."""
+    """Full-basis LayerS whose four blocks are diagonal, from their (2n,) diagonals or scalars."""
     n = 2 * beams.n_beams
     diags = []
     for d in (tpp, rpm, rmp, tmm):
         d = np.asarray(d, dtype=complex)
-        diags.append(d if d.shape == (n,) else np.full(n, d))
+        diags.append((d if d.shape == (n,) else np.full(n, d))[None])
     return LayerS(beams, mat_left, mat_right, tuple(diags))
 
 
@@ -173,29 +357,31 @@ def _probes(n: int) -> np.ndarray:
 
 
 def _solve_reported(a: np.ndarray, b: np.ndarray, context: str) -> np.ndarray:
-    """Solve a x = b (b of shape (n, m)) and report ill-conditioning.
+    """Solve a x = b and report ill-conditioning.
 
+    a is (n, n) or a stack (S, n, n) of sector blocks, b (n, m) or (S, n, m).
     The probe columns of the condition estimate ride along with b through
     the same LU factorization, so the estimate costs _N_PROBES extra
     triangular solves.  Everything stays in numpy's LAPACK: mixing in a
     second BLAS library (scipy's) makes two thread pools spin against each
     other in this hot loop when BLAS runs multithreaded.
     """
-    m = b.shape[1]
-    probes = _probes(a.shape[0])
+    m = b.shape[-1]
+    probes = _probes(a.shape[-1])
+    rhs = np.concatenate([b, np.broadcast_to(probes, b.shape[:-1] + (_N_PROBES,))], axis=-1)
     try:
-        xv = np.linalg.solve(a, np.concatenate([b, probes], axis=1))
+        xv = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSolveError(f"singular solve in {context}", condition=np.inf) from exc
     if not np.all(np.isfinite(xv)):
         raise SingularSolveError(f"non-finite solve result in {context}", condition=np.inf)
-    growth = np.linalg.norm(xv[:, m:], axis=0) / np.linalg.norm(probes, axis=0)
+    growth = np.linalg.norm(xv[..., m:], axis=-2) / np.linalg.norm(probes, axis=0)
     cond = float(np.linalg.norm(a) * growth.max())
     if cond > COND_REPORT_LIMIT:
         raise SingularSolveError(
             f"ill-conditioned solve in {context}: cond = {cond:.3e}", condition=cond
         )
-    return xv[:, :m]
+    return xv[..., :m]
 
 
 def sphere_plane_smatrix(plane: PlaneOfSpheres, beams: BeamSet, lmax: int) -> LayerS:
@@ -205,31 +391,45 @@ def sphere_plane_smatrix(plane: PlaneOfSpheres, beams: BeamSet, lmax: int) -> La
     b = (I - T Omega)^(-1) T a (T = Mie T-matrix, Omega = structure
     constants of the plane at the beams' omega and kpar); b is then
     converted to outgoing diffraction orders through the lattice-sum
-    plane-wave identity.  The in-plane offset enters by displaced_smatrix.
+    plane-wave identity.  On a mirror beam set of the plane's own lattice
+    all of it runs in the two mirror sectors, with the plane-wave maps
+    computed for one beam of each mirror pair.  The in-plane offset enters
+    by displaced_smatrix.
     """
     host = plane.scatterer.host
     if beams.ambient.eps != host.eps:
         raise InvalidArgumentError("beams must live in the sphere host medium")
     omega = beams.omega
     k = host.wavenumber(omega)
-    nv = vswf.nlm(lmax)
     omega_mat = structure_constants(plane.lattice, omega, beams.kpar, host, lmax)
     t_e, t_m = mie_t(plane.scatterer, omega, lmax)
     lidx = np.array([l for l, _ in vswf.lm_list(lmax)])
     tdiag = np.concatenate([t_m[lidx - 1], t_e[lidx - 1]])
+    area = plane.lattice.area
+    sectors = beam_sectors(beams) if mirror_fixed(plane.lattice) else None
+    if sectors is None:
+        tdiag, omega_mat = tdiag[None], omega_mat[None]
+        maps = [x[None] for x in _beam_multipole_maps(beams, k, area, lmax)]
+    else:
+        tdiag = tdiag[multipole_sectors(lmax).idx[0]]
+        omega_mat = _fold(omega_mat, _omega_fold(lmax))
+        rep, recipe = _maps_fold(beams.mirror, sectors, lmax)
+        a_plus, a_minus, c_up, c_down = _beam_multipole_maps(beams, k, area, lmax, rep)
+        folded = _fold(np.stack([a_plus.T, a_minus.T, c_up, c_down]), recipe)
+        maps = [*folded[:2].transpose(0, 1, 3, 2), *folded[2:]]
     scatter = _solve_reported(
-        np.eye(2 * nv) - tdiag[:, None] * omega_mat,
-        np.diag(tdiag),
+        np.eye(tdiag.shape[-1]) - tdiag[..., :, None] * omega_mat,
+        _embed_diagonal(tdiag),
         "sphere-plane self-consistency (I - T Omega)",
     )
-
-    a_plus, a_minus, c_up, c_down = _beam_multipole_maps(beams, k, plane.lattice.area, lmax)
+    a_plus, a_minus, c_up, c_down = maps
     b_plus = scatter @ a_plus
     b_minus = scatter @ a_minus
-    eye = np.eye(2 * beams.n_beams, dtype=complex)
+    eye = np.eye(c_up.shape[-2], dtype=complex)
     centred = LayerS(
         beams, host, host,
         (eye + c_up @ b_plus, c_down @ b_plus, c_up @ b_minus, eye + c_down @ b_minus),
+        sectors,
     )
     return displaced_smatrix(centred, plane.offset)
 
@@ -240,27 +440,32 @@ def displaced_smatrix(s: LayerS, offset) -> LayerS:
     At the moved layer, beam j carries the Bloch phase
     d_j = exp(i kt_j . offset) relative to the unmoved one, in both
     polarizations: incoming amplitudes pick it up, outgoing ones shed it.
-    A diagonal layer commutes with D and is returned as it is.
+    A diagonal layer commutes with D and is returned as it is.  A layer in
+    the mirror sectors stays there if the mirror fixes the offset (mirror
+    pairs then share d_j), and is brought to the full basis otherwise.
     """
     if s.diagonal or not np.any(offset):
         return s
+    if s.sectors is not None and not mirror_fixed(s.beams.lattice, tuple(offset)):
+        s = _full_basis(s)
     d = np.repeat(np.exp(1j * (s.beams.kt @ np.asarray(offset, dtype=float))), 2)
-    blocks = tuple((1.0 / d)[:, None] * b * d for b in s.blocks)
-    return LayerS(s.beams, s.mat_left, s.mat_right, blocks)
+    d = d[None] if s.sectors is None else d[s.sectors.idx[0]]
+    blocks = tuple((1.0 / d)[..., :, None] * b * d[..., None, :] for b in s.blocks)
+    return LayerS(s.beams, s.mat_left, s.mat_right, blocks, s.sectors)
 
 
-def _beam_multipole_maps(beams: BeamSet, k: complex, area: float, lmax: int):
-    """Plane-wave <-> multipole maps of every beam for a plane at the origin.
+def _beam_multipole_maps(beams: BeamSet, k: complex, area: float, lmax: int, which=slice(None)):
+    """Plane-wave <-> multipole maps of the beams ``which`` for a plane at the origin.
 
     Returns (a_plus, a_minus, c_up, c_down): the regular-expansion columns
     (2 nlm x 2n) of unit incident beams travelling toward +z and -z, and the
     rows (2n x 2 nlm) converting the outgoing multipoles of the plane into
-    beams travelling up (+z) and down (-z).
+    beams travelling up (+z) and down (-z); n counts the beams selected.
     """
-    n = beams.n_beams
     nv = vswf.nlm(lmax)
-    kt = beams.kt
-    kz = beams.kz
+    kt = beams.kt[which]
+    kz = beams.kz[which]
+    n = kz.size
     sqrt_kz = branch_sqrt_array(kz)
     ktn = np.hypot(kt[:, 0], kt[:, 1])
     phi = np.where(ktn > 1e-12, np.arctan2(kt[:, 1], kt[:, 0]), 0.0)
@@ -277,27 +482,35 @@ def _beam_multipole_maps(beams: BeamSet, k: complex, area: float, lmax: int):
     return a_plus, a_minus, c_up, c_down
 
 
-def _fresnel(kzl: np.ndarray, kzr: np.ndarray, epsl: complex, epsr: complex):
-    """Flux-normalized Fresnel coefficients (r, t) of every beam, left-to-right.
+def _kz_roots(beams: BeamSet, mat: Material) -> tuple[np.ndarray, np.ndarray]:
+    """(kz, sqrt kz) of every beam in a homogeneous medium."""
+    kz = beam_kz(beams, mat)
+    return kz, branch_sqrt_array(kz)
 
-    Both are (2n,) arrays in the (beam, polarization) basis order, s then p
-    per beam; right-to-left follows by swapping arguments.
+
+def _fresnel(left, right, epsl: complex, epsr: complex):
+    """Flux-normalized Fresnel coefficients (r, t, r_back, t_back) of every beam.
+
+    ``left`` and ``right`` are the _kz_roots of the two media; r and t act
+    left-to-right, r_back and t_back right-to-left.  All four are (2n,)
+    arrays in the (beam, polarization) basis order, s then p per beam.
     """
+    (kzl, ql), (kzr, qr) = left, right
     nl, nr = branch_sqrt(epsl), branch_sqrt(epsr)
-    rs = (kzl - kzr) / (kzl + kzr)
-    ts = 2.0 * kzl / (kzl + kzr)
-    rp = (epsr * kzl - epsl * kzr) / (epsr * kzl + epsl * kzr)
-    tp = 2.0 * nl * nr * kzl / (epsr * kzl + epsl * kzr)
-    flux = branch_sqrt_array(kzr) / branch_sqrt_array(kzl)
-    return np.stack([rs, rp], axis=1).ravel(), np.stack([ts * flux, tp * flux], axis=1).ravel()
+    ss, pp = kzl + kzr, epsr * kzl + epsl * kzr
+    rs, rp = (kzl - kzr) / ss, (epsr * kzl - epsl * kzr) / pp
+    flux, flux_b = qr / ql, ql / qr
+    ts, tp = 2.0 * kzl / ss * flux, 2.0 * nl * nr * kzl / pp * flux
+    ts_b, tp_b = 2.0 * kzr / ss * flux_b, 2.0 * nr * nl * kzr / pp * flux_b
+    pairs = ((rs, rp), (ts, tp), (-rs, -rp), (ts_b, tp_b))
+    return tuple(np.stack(pair, axis=1).ravel() for pair in pairs)
 
 
 def interface_smatrix(mat_left: Material, mat_right: Material, beams: BeamSet) -> LayerS:
     """Fresnel S-matrix of a planar dielectric interface, per beam and pol."""
-    kzl = beam_kz(beams, mat_left)
-    kzr = beam_kz(beams, mat_right)
-    r, t = _fresnel(kzl, kzr, mat_left.eps, mat_right.eps)
-    rb, tb = _fresnel(kzr, kzl, mat_right.eps, mat_left.eps)
+    r, t, rb, tb = _fresnel(
+        _kz_roots(beams, mat_left), _kz_roots(beams, mat_right), mat_left.eps, mat_right.eps
+    )
     return _diagonal_smatrix(beams, mat_left, mat_right, t, r, rb, tb)
 
 
@@ -314,18 +527,17 @@ def plate_smatrix(
 ) -> LayerS:
     """Closed-form Fabry-Perot S-matrix of a homogeneous plate.
 
-    Underflow-safe: an opaque plate's interior phase factor flushes to exact
-    zero, leaving the front-interface reflection.
+    Each medium's kz and its root are taken once.  Underflow-safe: an opaque
+    plate's interior phase factor flushes to exact zero, leaving the
+    front-interface reflection.
     """
-    kzl = beam_kz(beams, ambient_left)
-    kzm = beam_kz(beams, plate.material)
-    kzr = beam_kz(beams, ambient_right)
+    left = _kz_roots(beams, ambient_left)
+    mid = _kz_roots(beams, plate.material)
+    right = left if ambient_right.eps == ambient_left.eps else _kz_roots(beams, ambient_right)
     el, em, er = ambient_left.eps, plate.material.eps, ambient_right.eps
-    ph = np.repeat(np.exp(1j * kzm * plate.thickness), 2)
-    r1, t1 = _fresnel(kzl, kzm, el, em)
-    r1b, t1b = _fresnel(kzm, kzl, em, el)
-    r2, t2 = _fresnel(kzm, kzr, em, er)
-    r2b, t2b = _fresnel(kzr, kzm, er, em)
+    ph = np.repeat(np.exp(1j * mid[0] * plate.thickness), 2)
+    r1, t1, r1b, t1b = _fresnel(left, mid, el, em)
+    r2, t2, r2b, t2b = _fresnel(mid, right, em, er)
     den = 1.0 - r1b * r2 * ph * ph
     return _diagonal_smatrix(
         beams, ambient_left, ambient_right,
@@ -356,47 +568,42 @@ def _diagonal_star(s1: LayerS, s2: LayerS, context: str) -> LayerS:
         )
     x12 = tpp1 / den
     x21 = tmm2 / den
-    return _diagonal_smatrix(
-        s1.beams, s1.mat_left, s2.mat_right,
-        tpp2 * x12, rpm1 + tmm1 * rpm2 * x12, rmp2 + tpp2 * rmp1 * x21, tmm1 * x21,
-    )
+    blocks = (tpp2 * x12, rpm1 + tmm1 * rpm2 * x12, rmp2 + tpp2 * rmp1 * x21, tmm1 * x21)
+    return LayerS(s1.beams, s1.mat_left, s2.mat_right, blocks, s1.sectors)
 
 
 def star_product(s1: LayerS, s2: LayerS) -> LayerS:
     """Redheffer composition (s1 to the left of s2), exact multiple reflections.
 
-    Two diagonal layers compose beam by beam.  A reflectionless diagonal
-    factor (a gap) scales the rows and columns of the other one, with no
-    solve.  Any other pair takes two dense LU solves.
+    Both factors are first brought to one basis (_common_basis).  Two
+    diagonal layers compose beam by beam.  A reflectionless diagonal factor
+    (a gap) scales the rows and columns of the other one, with no solve.
+    Any other pair takes two dense LU solves, each batched over the sectors.
     """
     if s1.beams.g_ints != s2.beams.g_ints:
         raise InvalidArgumentError("star_product requires identical beam sets")
+    s1, s2 = _common_basis(s1, s2)
     context = "star product inter-layer solve"
     if s1.diagonal and s2.diagonal:
         return _diagonal_star(s1, s2, context)
+    sectors = s1.sectors
     # t and m: the transmission diagonals of the gap
     if s1.reflectionless:
         t1, _, _, m1 = s1.blocks
+        t1, m1 = t1[..., None, :], m1[..., None]  # column and row scaling
         tpp2, rpm2, rmp2, tmm2 = s2.blocks
-        blocks = (tpp2 * t1, m1[:, None] * rpm2 * t1, rmp2, m1[:, None] * tmm2)
-        return LayerS(s1.beams, s1.mat_left, s2.mat_right, blocks)
+        blocks = (tpp2 * t1, m1 * rpm2 * t1, rmp2, m1 * tmm2)
+        return LayerS(s1.beams, s1.mat_left, s2.mat_right, blocks, sectors)
     if s2.reflectionless:
         tpp1, rpm1, rmp1, tmm1 = s1.blocks
         t2, _, _, m2 = s2.blocks
-        blocks = (t2[:, None] * tpp1, rpm1, t2[:, None] * rmp1 * m2, tmm1 * m2)
-        return LayerS(s1.beams, s1.mat_left, s2.mat_right, blocks)
-    n = s1.tpp.shape[0]
-    eye = np.eye(n, dtype=complex)
-    x12 = _solve_reported(eye - s1.rmp @ s2.rpm, s1.tpp, context)
-    x21 = _solve_reported(eye - s2.rpm @ s1.rmp, s2.tmm, context)
-    return LayerS(
-        s1.beams,
-        s1.mat_left,
-        s2.mat_right,
-        (
-            s2.tpp @ x12,
-            s1.rpm + s1.tmm @ s2.rpm @ x12,
-            s2.rmp + s2.tpp @ s1.rmp @ x21,
-            s1.tmm @ x21,
-        ),
-    )
+        t2, m2 = t2[..., None], m2[..., None, :]
+        blocks = (t2 * tpp1, rpm1, t2 * rmp1 * m2, tmm1 * m2)
+        return LayerS(s1.beams, s1.mat_left, s2.mat_right, blocks, sectors)
+    tpp1, rpm1, rmp1, tmm1 = (s1.stacked(i) for i in range(4))
+    tpp2, rpm2, rmp2, tmm2 = (s2.stacked(i) for i in range(4))
+    eye = np.eye(tpp1.shape[-1], dtype=complex)
+    x12 = _solve_reported(eye - rmp1 @ rpm2, tpp1, context)
+    x21 = _solve_reported(eye - rpm2 @ rmp1, tmm2, context)
+    blocks = (tpp2 @ x12, rpm1 + tmm1 @ rpm2 @ x12, rmp2 + tpp2 @ rmp1 @ x21, tmm1 @ x21)
+    return LayerS(s1.beams, s1.mat_left, s2.mat_right, blocks, sectors)

@@ -301,8 +301,9 @@ def _extract_point(
 
     kz_in = ly.beam_kz(beams, desc.incident)
     prop_in = kz_in.imag == 0.0
-    r_amp = total.rpm[:, col]
-    t_amp = total.tpp[:, col]
+    # in the mirror sectors, s lies in the odd and p in the even sector
+    r_amp = total.column(1, col)
+    t_amp = total.column(0, col)
     if not (np.all(np.isfinite(r_amp)) and np.all(np.isfinite(t_amp))):
         raise PcfilmError("non-finite amplitudes in stack solution")
     mask_in = np.repeat(prop_in, 2)

@@ -10,8 +10,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 from pcfilm.band import true_runs
+from pcfilm.lattice import BeamSet
 
 
 def longest_run(mask) -> tuple[int, int] | None:
@@ -26,3 +28,10 @@ def band_interval(omega, values, threshold: float = 0.2):
         return None
     omega = np.asarray(omega, dtype=float)
     return float(omega[run[0]]), float(omega[run[1]])
+
+
+@pytest.fixture
+def full_basis(monkeypatch):
+    """Call it to keep every later layer in the full basis: the reference for the
+    mirror sectors, which no beam set then qualifies for."""
+    return lambda: monkeypatch.setattr(BeamSet, "mirror", property(lambda self: None))

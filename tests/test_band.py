@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import pcfilm.scenes as sc
 from pcfilm.band import complex_bands, gap_edges, overlap_permutation, true_runs
 from pcfilm.errors import InvalidArgumentError
 from pcfilm.lattice import SQUARE, beam_set
@@ -147,3 +149,47 @@ class TestGapEdges:
         ]
         with pytest.raises(InvalidArgumentError):
             gap_edges(pts)
+
+
+class TestMirrorSectors:
+    """The paper-fig4 unit slice at normal incidence runs in the mirror sectors."""
+
+    @staticmethod
+    def _bands():
+        scene = sc.preset("paper-fig4")
+        unit, ambient, period = scene.unit_slice()
+        omega = float(scene.omega_internal(np.array([1.8]))[0])
+        s = slice_smatrix(unit, ambient, omega, (0.0, 0.0), scene.controls(), scene.lattice())
+        return s, complex_bands(s, period, omega, (0.0, 0.0))
+
+    @staticmethod
+    def _kept(bp):
+        """kz d of the branches with Im kz d <= 5, sorted by (Im, Re)."""
+        kzd = [kz * bp.period for kz in bp.kz_list if kz.imag * bp.period <= 5.0]
+        return sorted(kzd, key=lambda z: (round(z.imag, 6), z.real))
+
+    def test_same_branches_as_full_basis(self, full_basis):
+        unit, got = self._bands()
+        assert unit.sectors is not None
+        full_basis()
+        unit, want = self._bands()
+        assert unit.sectors is None
+        assert got.kz_list.size == want.kz_list.size
+        a, b = self._kept(got), self._kept(want)
+        assert len(a) == len(b) > 0
+        assert max(abs(x - y) for x, y in zip(a, b)) < 1e-9
+
+    def test_sectors_never_paired(self):
+        _, bp = self._bands()
+        half = bp.vectors.shape[0] // 2
+        odd = np.abs(bp.vectors[half:]).max(axis=0) > 0
+        assert odd.any() and not odd.all()
+        assert np.all(bp.vectors[:half, odd] == 0) and np.all(bp.vectors[half:, ~odd] == 0)
+        assert list(overlap_permutation(bp, bp)) == list(range(bp.kz_list.size))
+        # an odd branch that ends is not continued by an even branch that starts
+        c1, (a0, d0) = np.flatnonzero(odd)[0], np.flatnonzero(~odd)[:2]
+
+        def pick(cols):
+            return dataclasses.replace(bp, kz_list=bp.kz_list[cols], vectors=bp.vectors[:, cols])
+
+        assert list(overlap_permutation(pick([c1, a0]), pick([a0, d0]))) == [0, 1]

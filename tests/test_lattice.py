@@ -201,6 +201,32 @@ class TestLatticeSums:
             assert abs(v - dr[key]) < 1e-8 * scale
 
 
+class TestEwaldMirror:
+    """On the mirror (kpar along x) only sigma >= 0 is summed, over y >= 0."""
+
+    PMAX = 6
+
+    def _direct(self, lat, k, kpar):
+        return direct_lattice_sums(
+            k, kpar, lattice_sum_keys(self.PMAX), rmax=60.0, windowed=False, a1=lat.a1, a2=lat.a2
+        )
+
+    @pytest.mark.parametrize("lat", [SQUARE, TRIANGULAR], ids=["square", "triangular"])
+    @pytest.mark.parametrize("kpar", [(0.37, 0.0), (0.37, 0.21)], ids=["on-axis", "off-axis"])
+    def test_vs_direct_all_keys(self, lat, kpar):
+        k = 1.4 + 0.5j
+        ew = lattice_sums_ewald(lat, k, kpar, self.PMAX)
+        dr = self._direct(lat, k, kpar)
+        assert set(ew) == set(dr)
+        scale = max(abs(v) for v in dr.values())
+        for key, v in dr.items():
+            assert abs(ew[key] - v) < 1e-10 * scale, key
+        # S_{p,-sigma} = (-1)^sigma S_{p,sigma} holds on the mirror only,
+        # exactly where the sigma < 0 sums were filled in from it
+        mirrored = all(ew[p, -s] == (-1) ** s * ew[p, s] for p, s in ew if s > 0)
+        assert mirrored == (kpar[1] == 0.0)
+
+
 class TestStructureConstants:
     def test_ewald_vs_direct_method_lossy(self):
         host = Material(12.0 + 2.0j)

@@ -19,10 +19,12 @@ from pcfilm.layer import (
     _beam_multipole_maps,
     _diagonal_smatrix,
     _solve_reported,
+    beam_sectors,
     displaced_smatrix,
     gap_smatrix,
     identity_smatrix,
     interface_smatrix,
+    multipole_sectors,
     plate_smatrix,
     sphere_plane_smatrix,
     star_product,
@@ -304,6 +306,46 @@ class TestBeamMultipoleMaps:
             assert np.all(np.max(np.abs(cols[1] - cols[0]), axis=0) <= 1e-13 * scale)
 
 
+class TestMirrorSectorBasis:
+    """The sector basis against the full basis it replaces."""
+
+    def test_sphere_plane_matches_full_basis(self, full_basis):
+        host = Material(12.0 + 0.1j)
+        omega = 2.2 / math.sqrt(2.0)
+        sphere = SphereScatterer(0.30618621, Material(1.0), host)
+        plane = PlaneOfSpheres(SQUARE, sphere, (0.5, 0.5))
+        got = sphere_plane_smatrix(plane, beam_set(SQUARE, omega, (0.7, 0.0), host, 18.0), 7)
+        assert got.sectors is not None
+        full_basis()
+        want = sphere_plane_smatrix(plane, beam_set(SQUARE, omega, (0.7, 0.0), host, 18.0), 7)
+        assert want.sectors is None
+        for name in ("tpp", "rpm", "rmp", "tmm"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert np.max(np.abs(g - w)) < 1e-12 * np.max(np.abs(w)), name
+
+    @pytest.mark.parametrize("kind", ["beams", "multipoles"])
+    def test_orthonormal_and_block_diagonal(self, kind):
+        if kind == "beams":
+            beams = beam_set(SQUARE, 1.5, (0.9, 0.0), VACUUM, 12.0)
+            sectors = beam_sectors(beams)
+            assert beam_sectors(beam_set(SQUARE, 1.5, (0.9, 0.2), VACUUM, 12.0)) is None
+        else:
+            sectors = multipole_sectors(3)
+        n = sectors.vrow.shape[1]
+        u = np.zeros((n, n))  # the basis as a matrix, columns sector 0 then 1
+        for s in range(2):
+            for q in range(2):
+                u[sectors.idx[q, s], s * n // 2 + np.arange(n // 2)] += sectors.w[q, s]
+        assert np.allclose(u.T @ u, np.eye(n), atol=1e-15)
+        x = np.random.default_rng(1).normal(size=(2, n // 2, n // 2))
+        full = sectors.unfold(x)
+        blk = np.zeros((n, n))
+        blk[: n // 2, : n // 2], blk[n // 2:, n // 2:] = x
+        assert np.allclose(full, u @ blk @ u.T, atol=1e-14)
+        for c in (0, n - 1):
+            assert np.allclose(sectors.unfold_column(x, c), full[:, c], atol=1e-15)
+
+
 class TestSolveReported:
     def test_matches_dense_solve(self):
         rng = np.random.default_rng(3)
@@ -315,6 +357,21 @@ class TestSolveReported:
         a = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
         with pytest.raises(SingularSolveError) as err:
             _solve_reported(a, np.eye(2, dtype=complex), "test")
+        assert err.value.condition == np.inf
+
+    def test_stacked_sectors_checked_together(self):
+        good = np.eye(2, dtype=complex)
+        bad = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-11]], dtype=complex)
+        b = np.eye(2, dtype=complex)[None].repeat(2, axis=0)
+        x = _solve_reported(np.stack([good, 2 * good]), b, "test")
+        assert np.allclose(x, np.stack([good, 0.5 * good]), atol=1e-15)
+        # a bad sector is not hidden by a good one: ||A||_F over both sectors
+        # times the largest probe growth of either
+        with pytest.raises(SingularSolveError, match="ill-conditioned") as err:
+            _solve_reported(np.stack([good, bad]), b, "test")
+        assert err.value.condition >= np.linalg.cond(bad) / 2.0
+        with pytest.raises(SingularSolveError) as err:
+            _solve_reported(np.stack([np.ones((2, 2), dtype=complex), good]), b, "test")
         assert err.value.condition == np.inf
 
     def test_nearly_singular(self):
@@ -357,10 +414,16 @@ class TestStarProductPaths:
     HOST = Material(12.0 + 0.1j)
 
     @staticmethod
-    def _check(got, want_diagonal, s1, s2):
+    def _check(got, want_diagonal, s1, s2, floor=0.0):
+        """got against the dense formula, to 1e-13 relative, or floor times the block scale.
+
+        In the sectors, entries the mirror forces to zero come out exactly
+        zero, where the dense formula leaves rounding noise.
+        """
         assert got.diagonal is want_diagonal
         for name, want in zip(("tpp", "rpm", "rmp", "tmm"), _dense_star(s1, s2)):
-            np.testing.assert_allclose(getattr(got, name), want, rtol=1e-13, atol=0, err_msg=name)
+            atol = floor * np.max(np.abs(want))
+            np.testing.assert_allclose(getattr(got, name), want, rtol=1e-13, atol=atol, err_msg=name)
 
     def test_lossless_plate_then_lossy_plate(self):
         beams = TestDiagonalLayersVsLoop._beams()
@@ -418,6 +481,38 @@ class TestStarProductPaths:
         # exact 2-norm condition number of the diagonal inter-layer matrix
         cond2 = np.linalg.cond(np.eye(s1.tpp.shape[0]) - s1.rmp @ s2.rpm)
         assert err.value.condition == pytest.approx(cond2, rel=1e-12)
+
+    def _mirror_plane(self, offset=(0.5, 0.5)):
+        """A sphere plane on a mirror beam set (kpar along x), solved in the sectors."""
+        omega = 2.2 / math.sqrt(2.0)
+        beams = beam_set(SQUARE, omega, (0.7, 0.0), self.HOST, 12.0)
+        sphere = SphereScatterer(0.30618621, Material(1.0), self.HOST)
+        plane = sphere_plane_smatrix(PlaneOfSpheres(SQUARE, sphere, offset), beams, 4)
+        return beams, plane
+
+    def test_sector_plane_pair(self):
+        _, plane = self._mirror_plane()
+        assert plane.sectors is not None and plane.blocks[0].shape[0] == 2
+        got = star_product(plane, plane)
+        assert got.sectors is not None
+        self._check(got, False, plane, plane, 1e-13)
+
+    def test_diagonal_layers_gathered_into_sectors(self):
+        beams, plane = self._mirror_plane()
+        gap = gap_smatrix(0.177, beams)
+        interface = interface_smatrix(self.HOST, Material(12.0 + 7.0j), beams)
+        for s1, s2 in ((gap, plane), (plane, gap), (interface, plane), (plane, interface)):
+            got = star_product(s1, s2)
+            assert got.sectors is not None
+            self._check(got, False, s1, s2, 1e-13)
+
+    def test_plane_off_the_mirror_returns_to_full_basis(self):
+        beams, plane = self._mirror_plane()
+        _, off = self._mirror_plane((0.25, 0.1))
+        assert off.sectors is None
+        got = star_product(plane, off)
+        assert got.sectors is None
+        self._check(got, False, plane, off, 1e-13)
 
     def test_displaced_diagonal_layer_unchanged(self):
         beams = TestDiagonalLayersVsLoop._beams()

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 from oracles import fresnel_power_reflectance
 import pcfilm.layer as ly
+import pcfilm.scenes as sc
 import pcfilm.stack as stk
 from pcfilm.errors import InvalidArgumentError
-from pcfilm.lattice import SQUARE, TRIANGULAR, beam_set
+from pcfilm.lattice import SQUARE, TRIANGULAR, beam_set, mirror_fixed
 from pcfilm.layer import (
     Plate,
     PlaneOfSpheres,
@@ -34,6 +35,7 @@ from pcfilm.stack import (
     slice_smatrix,
     solve_stack,
     solve_stack_points,
+    stack_smatrix,
 )
 
 OM = 0.9
@@ -315,3 +317,86 @@ class TestSolveCount:
         dense = [not (a.diagonal or b.diagonal) for a, b in pairs]
         assert dense == [False, False, True]
         assert len(solves) == 1 + 2 * sum(dense)
+
+
+def _assert_rta(got, want, tol=1e-12):
+    for g, w in zip(got, want):
+        for name, value in zip("RTA", w):
+            assert abs(getattr(g, name) - value) <= tol, (g.pol, name, getattr(g, name), value)
+
+
+_HOST = Material(12.0 + 0.1j)
+_CONTROLS = NumericalControls(lmax=4, cutoff=12.0)
+
+
+def _film(lat, offsets):
+    """Two periods of (gap, plane, gap) per offset in the host, on a lossy backplane."""
+    sphere = SphereScatterer(0.3, VACUUM, _HOST)
+    unit = []
+    for off in offsets:
+        unit += [Gap(0.2), PlaneOfSpheres(lat, sphere, off), Gap(0.2)]
+    return StackDescription((Interface(VACUUM, _HOST), Repeat(tuple(unit), 2)), exit=Material(12 + 7j))
+
+
+# (lattice, plane offsets, phi in degrees, (R, T, A) for s and p at omega 1.6
+# and theta 25 deg, from the full-basis code that preceded the mirror sectors)
+_SCENES = {
+    "square-offset-0.25-0.1": (
+        SQUARE, [(0.0, 0.0), (0.25, 0.1)], 0.0,
+        ((0.20085084940177697, 0.0, 0.799149150598223), (0.1306160763341348, 0.0, 0.8693839236658651)),
+    ),
+    "square-phi-30": (
+        SQUARE, [(0.0, 0.0), (0.5, 0.5)], 30.0,
+        ((0.2072508391479309, 0.0, 0.7927491608520691), (0.1525368296923563, 0.0, 0.8474631703076437)),
+    ),
+    "triangular-on-mirror": (
+        TRIANGULAR, [(0.0, 0.0), (0.5, 0.0)], 0.0,
+        ((0.24813952332796585, 0.0, 0.7518604766720342), (0.1213554125976822, 0.0, 0.8786445874023178)),
+    ),
+    "triangular-off-mirror": (
+        TRIANGULAR, [(0.0, 0.0), (0.25, math.sqrt(3.0) / 4.0)], 0.0,
+        ((0.1854725836098486, 0.0, 0.8145274163901514), (0.1744328718657196, 0.0, 0.8255671281342805)),
+    ),
+}
+
+
+class TestMirrorSectors:
+    """Scenes the mirror y -> -y maps to themselves run in its two sectors."""
+
+    @pytest.mark.parametrize("theta_deg", [0.0, 30.0])
+    def test_paper_fig2_matches_full_basis(self, theta_deg, full_basis):
+        scene = sc.preset("paper-fig2")
+        desc, controls = scene.build_stack(), scene.controls()
+        omega = float(scene.omega_internal(np.array([2.2]))[0])
+        theta = math.radians(theta_deg)
+        kpar = (omega * math.sin(theta), 0.0)
+        assert stack_smatrix(desc, omega, kpar, controls).sectors is not None
+        got = solve_stack_points(desc, omega, theta, 0.0, ("s", "p"), controls)
+        full_basis()
+        assert stack_smatrix(desc, omega, kpar, controls).sectors is None
+        want = solve_stack_points(desc, omega, theta, 0.0, ("s", "p"), controls)
+        _assert_rta(got, [(w.R, w.T, w.A) for w in want])
+
+    @pytest.mark.parametrize("name", sorted(_SCENES))
+    def test_path_follows_scene_symmetry(self, name, full_basis):
+        lat, offsets, phi_deg, reference = _SCENES[name]
+        desc = _film(lat, offsets)
+        omega, theta, phi = 1.6, math.radians(25.0), math.radians(phi_deg)
+        kpar = omega * math.sin(theta) * np.array([math.cos(phi), math.sin(phi)])
+        on_mirror = phi == 0.0 and all(mirror_fixed(lat, off) for off in offsets)
+        assert on_mirror == (name == "triangular-on-mirror")
+        assert (stack_smatrix(desc, omega, kpar, _CONTROLS).sectors is not None) == on_mirror
+        got = solve_stack_points(desc, omega, theta, phi, ("s", "p"), _CONTROLS)
+        _assert_rta(got, reference)
+        full_basis()
+        want = solve_stack_points(desc, omega, theta, phi, ("s", "p"), _CONTROLS)
+        _assert_rta(got, [(w.R, w.T, w.A) for w in want])
+
+    def test_one_stacked_solve_per_solve_site(self, monkeypatch):
+        solves = _record_calls(monkeypatch, ly, "_solve_reported")
+        scene = sc.preset("paper-fig2")
+        omega = float(scene.omega_internal(np.array([2.2]))[0])
+        solve_stack_points(scene.build_stack(), omega, 0.5, 0.0, ("s", "p"), scene.controls())
+        assert len(solves) == 15
+        # both sectors in one call: 63 + 63 multipole and 23 + 23 beam channels
+        assert {a.shape[:2] for a, _, _ in solves} == {(2, 63), (2, 23)}
