@@ -127,11 +127,7 @@ def cmd_band(scene: sc.Scene, out: Path, threads: int) -> list[Path]:
         return bd.complex_bands(s, period, om, (0.0, 0.0))
 
     tasks = [(i,) for i in range(om_int.size)]
-    try:
-        points = run_grid(point, tasks, threads, lambda t: f"band failed at omega={om_int[t[0]]}")
-    except GridPointError as exc:
-        (i,) = exc.index
-        raise PcfilmError(f"band failed at omega={om_disp[i]}: {exc.__cause__}") from exc
+    points = run_grid(point, tasks, threads, lambda t: f"band failed at omega={om_disp[t[0]]}")
     # eigenvector-overlap continuation: label branches consistently along the scan
     rows = []
     prev = None

@@ -24,7 +24,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.special import erfc
 
-from . import specfun as sf
 from . import vswf
 from .errors import ConvergenceError, InvalidArgumentError
 from .mie import Material, branch_sqrt_array
@@ -53,6 +52,13 @@ class Lattice2D:
     @property
     def area(self) -> float:
         return abs(self.cross)
+
+    @cached_property
+    def nearest_distance(self) -> float:
+        """Shortest nonzero n1 a1 + n2 a2 with |n1|, |n2| <= 2, rounded as np.linalg.norm."""
+        n1, n2, _ = _shells(1, 3)
+        v = n1[:, None] * np.array(self.a1) + n2[:, None] * np.array(self.a2)
+        return np.sqrt(beam_kt2(v)).min()
 
 
 SQUARE = Lattice2D((1.0, 0.0), (0.0, 1.0))
@@ -275,14 +281,8 @@ def _pair_tables(pmax: int, half: bool):
     lidx = np.array([L for L, _ in pairs])
     midx = np.array([M for _, M in pairs])
     norm = np.array([_I_POW[M % 4] * math.sqrt((2 * L + 1) * f(L - M) * f(L + M)) for L, M in pairs])
-    yvec0 = sf.ylm_table(pmax, 0.0, 1.0, 0.0)[lidx, midx + pmax]
+    yvec0 = vswf.ylm_flat(pmax, 0.0, 1.0, 0.0)[vswf.sidx(lidx, midx)]
     return lidx, midx, terms, norm, yvec0
-
-
-def _azimuth_phases(phi: np.ndarray, midx: np.ndarray, pmax: int) -> np.ndarray:
-    """exp(i M phi) for every point and pair, shape (len(phi), len(midx))."""
-    e = np.exp(1j * np.arange(pmax + 1) * phi[:, None])
-    return np.concatenate([e[:, :0:-1].conj(), e], axis=1)[:, midx + pmax]
 
 
 def lattice_sums_ewald(lat: Lattice2D, k: complex, kpar, pmax: int, eta: float | None = None) -> dict:
@@ -320,8 +320,10 @@ def lattice_sums_ewald(lat: Lattice2D, k: complex, kpar, pmax: int, eta: float |
         return v[:, 1] >= 0 if half else slice(None)
 
     def azimuth(v):
-        """Azimuthal factor of every point and pair."""
-        az = _azimuth_phases(np.arctan2(v[:, 1], v[:, 0]), midx, pmax)
+        """Azimuthal factor of every point and pair; exp(i M phi) = exp(i |M| phi)^* for M < 0."""
+        phi = np.arctan2(v[:, 1], v[:, 0])
+        az = np.exp(1j * np.arange(pmax + 1) * phi[:, None])[:, np.abs(midx)]
+        np.conjugate(az, out=az, where=midx < 0)
         return np.where(v[:, 1] > 0, 2.0, 1.0)[:, None] * az.real if half else az
 
     def reciprocal(n1, n2):

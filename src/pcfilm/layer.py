@@ -63,14 +63,7 @@ class PlaneOfSpheres:
     offset: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        a1 = np.array(self.lattice.a1)
-        a2 = np.array(self.lattice.a2)
-        nn = min(
-            np.linalg.norm(n1 * a1 + n2 * a2)
-            for n1 in range(-2, 3)
-            for n2 in range(-2, 3)
-            if (n1, n2) != (0, 0)
-        )
+        nn = self.lattice.nearest_distance
         if 2 * self.scatterer.radius >= nn:
             raise InvalidArgumentError(
                 f"spheres overlap in plane: diameter {2 * self.scatterer.radius} >= "
@@ -96,31 +89,33 @@ class Sectors:
 
     Vector k of sector s is w[0, s, k] e_a + w[1, s, k] e_b with
     (a, b) = idx[:, s, k]: a channel the mirror fixes (b = a, weights 1 and
-    0) or a mirror pair a < b; a is the representative channel.  By rows,
-    channel c has the weight vrow[s, c] on vector pos[s, c] of sector s
-    (weight 0 where it has none).  All arrays are read-only.
+    0) or a mirror pair a < b; a is the representative channel.  ``basis``
+    holds these vectors as the columns of U, sector 0 first.  All arrays
+    are read-only.
     """
 
     idx: np.ndarray
     w: np.ndarray
-    pos: np.ndarray
-    vrow: np.ndarray
+
+    @functools.cached_property
+    def basis(self) -> np.ndarray:
+        """The orthonormal matrix U whose column s m + k is vector k of sector s (m per sector)."""
+        n = self.idx[0].size
+        u = np.zeros((n, n))
+        np.add.at(u, (self.idx.reshape(2, n), np.arange(n)), self.w.reshape(2, n))
+        u.flags.writeable = False
+        return u
 
     def unfold(self, x: np.ndarray) -> np.ndarray:
         """The full-basis matrix U blockdiag(x[0], x[1]) U^T of sector blocks x."""
         m = x.shape[-1]
-        flat = self.pos + np.array([[0], [m]])
         blk = np.zeros((2 * m, 2 * m), dtype=x.dtype)
         blk[:m, :m], blk[m:, m:] = x
-        v = self.vrow
-        return sum(
-            v[s][:, None] * v[t] * blk[flat[s][:, None], flat[t]] for s in (0, 1) for t in (0, 1)
-        )
+        return self.basis @ blk @ self.basis.T
 
     def unfold_column(self, x: np.ndarray, c: int) -> np.ndarray:
-        """Column c of unfold(x), gathered from the sector blocks alone."""
-        v, p = self.vrow, self.pos
-        return sum(v[s] * v[s, c] * x[s][p[s], p[s, c]] for s in (0, 1))
+        """Column c of unfold(x): U blockdiag(x[0], x[1]) times row c of U."""
+        return self.basis @ (x @ self.basis[c].reshape(2, -1, 1)).ravel()
 
 
 def _sectors(partner: np.ndarray, sign: np.ndarray) -> Sectors:
@@ -137,16 +132,9 @@ def _sectors(partner: np.ndarray, sign: np.ndarray) -> Sectors:
         w.append((np.where(paired, r, 1.0), np.where(paired, parity * sign[a] * r, 0.0)))
     idx = np.array(idx).transpose(1, 0, 2)
     w = np.array(w).transpose(1, 0, 2)
-    pos = np.zeros((2, partner.size), dtype=int)
-    vrow = np.zeros((2, partner.size))
-    for s in (0, 1):
-        for q in (0, 1):
-            on = np.flatnonzero(w[q, s])
-            pos[s, idx[q, s, on]] = on
-            vrow[s, idx[q, s, on]] = w[q, s, on]
-    for arr in (idx, w, pos, vrow):
+    for arr in (idx, w):
         arr.flags.writeable = False
-    return Sectors(idx, w, pos, vrow)
+    return Sectors(idx, w)
 
 
 def beam_sectors(beams: BeamSet) -> Sectors | None:

@@ -3,9 +3,11 @@
 Conventions used throughout the package:
 
 * Spherical harmonics Y_lm are orthonormal and carry the Condon-Shortley
-  phase.  For directions with complex polar angle (evanescent beams) both
-  cos(theta) and sin(theta) are passed explicitly, so no square-root branch
-  is ever taken inside the recurrences.
+  phase; ``vswf.ylm_flat`` builds them from ``legendre_normalized``.  For
+  directions with complex polar angle (evanescent beams) both cos(theta)
+  and sin(theta) are passed explicitly, so no square-root branch is ever
+  taken inside the recurrences (scipy's ``assoc_legendre_p_all`` takes the
+  principal root of 1 - cos^2, -kpar/k in a lossless host of negative eps).
 * The radial functions j_l and h^(1)_l come from ``scipy.special`` (the
   AMOS complex Bessel routines, Amos, ACM TOMS 12, 265 (1986)).
 * ``Ybar_lm = (-1)^m Y_{l,-m}`` is the analytic continuation of the complex
@@ -100,23 +102,6 @@ def _legendre_coefs(l: int) -> tuple[np.ndarray, np.ndarray]:
     a = np.array([math.sqrt((4 * l * l - 1) / (l * l - k * k)) for k in m])
     b = np.array([math.sqrt(((l - 1) ** 2 - k * k) / (4 * (l - 1) ** 2 - 1)) for k in m])
     return a, b
-
-
-def ylm_table(lmax: int, ct, st, phi) -> np.ndarray:
-    """Full Y_lm table, indexed [..., l, m + lmax] for m in -l..l.
-
-    Returned as a dense (..., lmax+1, 2*lmax+1) array; the leading axes are
-    the broadcast shape of (ct, st, phi), empty for a single direction.
-    """
-    pt = legendre_normalized(lmax, ct, st)
-    m = np.arange(lmax + 1)
-    eimp = np.exp(1j * m * np.asarray(phi)[..., None])[..., None, :]
-    shape = np.broadcast_shapes(pt.shape, eimp.shape)
-    out = np.zeros(shape[:-1] + (2 * lmax + 1,), dtype=complex)
-    out[..., lmax:] = pt * eimp
-    sign = (-1.0) ** m[1:]
-    out[..., lmax - m[1:]] = sign * pt[..., 1:] / eimp[..., 1:]
-    return out
 
 
 @lru_cache(maxsize=200000)

@@ -75,14 +75,16 @@ def _scalar_index_arrays(lam_max: int):
 
 
 def ylm_flat(lmax: int, ct, st, phi) -> np.ndarray:
-    """Y_lm values as a flat array over sidx(l, m), l <= lmax.
+    """Y_lm values as a flat array over sidx(l, m), l <= lmax, from legendre_normalized.
 
     The direction arguments may be arrays; the leading axes of the result are
     their broadcast shape.
     """
-    tab = sf.ylm_table(lmax, ct, st, phi)
     lidx, midx = _scalar_index_arrays(lmax)
-    return tab[..., lidx, midx + lmax]
+    m = np.abs(midx)
+    pt = sf.legendre_normalized(lmax, ct, st)[..., lidx, m]
+    eimp = np.exp(1j * np.arange(lmax + 1) * np.asarray(phi)[..., None])[..., m]
+    return np.where(midx < 0, (-1.0) ** m * pt / eimp, pt * eimp)
 
 
 def plane_wave_coeffs(lmax: int, ct, st, phi, evec) -> tuple[np.ndarray, np.ndarray]:
@@ -211,9 +213,10 @@ def _scalar_contraction(lam_max: int):
 
     Omega[(lam,nu),(lam',nu')] = 4 pi sum_p i^{lam+p-lam'} (-1)^p
                                  G(lam,nu; p,nu'-nu; lam',nu') S_{p,nu'-nu}
-    Returns (keys, rows, cols, coefs, key): term t adds coefs[t] times the
-    sum keys[key[t]] = (p, sigma) at (rows[t], cols[t]), grouped by key in
-    the order the keys first occur.
+    Returns (keys, flat, coefs, key): term t adds coefs[t] times the sum
+    keys[key[t]] = (p, sigma) at the flat index flat[t] of the
+    (n_scalar x n_scalar) matrix, grouped by key in the order the keys
+    first occur.
     """
     recipe = {}
     for lam in range(lam_max + 1):
@@ -241,20 +244,7 @@ def _scalar_contraction(lam_max: int):
     keys = list(recipe)
     rows, cols, coefs = (np.concatenate([recipe[k][i] for k in keys]) for i in range(3))
     key = np.repeat(np.arange(len(keys)), [len(recipe[k][0]) for k in keys])
-    return keys, rows, cols, coefs, key
-
-
-def omega_scalar(lam_max: int, s_table: dict) -> np.ndarray:
-    """Scalar lattice-summed translation matrix from sums S_{p,sigma}.
-
-    s_table maps (p, sigma) -> sum_{R != 0} e^{i kpar.R} h_p(k R) Y_{p,sigma}(Rhat).
-    """
-    keys, rows, cols, coefs, key = _scalar_contraction(lam_max)
-    s = np.array([s_table.get(k, 0.0) for k in keys], dtype=complex)
-    ns = n_scalar(lam_max)
-    omega = np.zeros((ns, ns), dtype=complex)
-    np.add.at(omega, (rows, cols), coefs * s[key])
-    return omega
+    return keys, rows * n_scalar(lam_max) + cols, coefs, key
 
 
 @lru_cache(maxsize=8)
@@ -275,8 +265,16 @@ def translation_matrix(lmax: int, s_table: dict) -> np.ndarray:
     Ordering: magnetic channels first, electric channels second, each over
     lm_list(lmax).  W maps outgoing multipole amplitudes on every other
     lattice site to the regular incident expansion at the origin site.
+    s_table maps (p, sigma) -> sum_{R != 0} e^{i kpar.R} h_p(k R) Y_{p,sigma}(Rhat).
     """
-    omega = omega_scalar(lmax + 1, s_table)
+    keys, flat, coefs, key = _scalar_contraction(lmax + 1)
+    terms = coefs * np.array([s_table.get(k, 0.0) for k in keys], dtype=complex)[key]
+    ns = n_scalar(lmax + 1)
+    # the scalar Omega; bincount adds the terms of an entry in their order
+    omega = np.empty(ns * ns, dtype=complex)
+    omega.real = np.bincount(flat, terms.real, ns * ns)
+    omega.imag = np.bincount(flat, terms.imag, ns * ns)
+    omega = omega.reshape(ns, ns)
     embed, recon = _vector_maps(lmax)
     nv2 = 2 * nlm(lmax)
     w = np.zeros((nv2, nv2), dtype=complex)

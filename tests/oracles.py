@@ -125,15 +125,24 @@ def gaunt_quadrature(l1, m1, l2, m2, l3, m3, n=40) -> float:
     return float(total.real)
 
 
-def h1_closed(p: int, z: np.ndarray) -> np.ndarray:
-    """Closed-form h1_p(z) = (-i)^{p+1} e^{iz}/z sum_m c_m (-2iz)^{-m}.
+def h1_closed(pmax: int, z: np.ndarray) -> np.ndarray:
+    """Closed-form h1_p(z) = (-i)^{p+1} e^{iz}/z sum_m c_pm (-2iz)^{-m}, row p = 0..pmax.
 
-    Exact for any complex z (no recurrences; independent of the package)."""
-    out = np.zeros_like(z, dtype=complex)
-    for m in range(p + 1):
-        c = math.factorial(p + m) / (math.factorial(m) * math.factorial(p - m))
-        out = out + c * (-2j * z) ** (-m)
-    return (-1j) ** (p + 1) * np.exp(1j * z) / z * out
+    c_pm = (p+m)! / (m! (p-m)!).  Exact for any complex z (no recurrences;
+    independent of the package)."""
+    f = math.factorial
+    c = np.array([[f(p + m) / (f(m) * f(p - m)) if m <= p else 0.0 for m in range(pmax + 1)]
+                  for p in range(pmax + 1)])
+    phase = (-1j) ** np.arange(1, pmax + 2)
+    return phase[:, None] * (np.exp(1j * z) / z) * (c @ _powers(1.0 / (-2j * z), pmax))
+
+
+def _powers(x: np.ndarray, n: int) -> np.ndarray:
+    """Rows x^0, x^1, ..., x^n by repeated multiplication."""
+    out = [np.ones_like(x)]
+    for _ in range(n):
+        out.append(out[-1] * x)
+    return np.array(out)
 
 
 def smooth_window(r: np.ndarray, rmax: float, start: float = 0.75) -> np.ndarray:
@@ -151,23 +160,29 @@ def direct_lattice_sums(
     """Independent direct sums S_{p sigma} over the lattice spanned by a1, a2.
 
     Absolutely convergent for Im k > 0; the smooth window only accelerates
-    the truncation.  Summed row-by-row (fixed n2) to bound memory.
+    the truncation.  Summed over blocks of rows (fixed n2) to bound memory.
+    Each h_p is evaluated once per block for all its sigma, and
+    Y_{p sigma}(pi/2, phi) = Y_{p sigma}(pi/2, 0) e^{i sigma phi}.
     """
     a1 = np.asarray(a1, dtype=float)
     a2 = np.asarray(a2, dtype=float)
     cross = abs(a1[0] * a2[1] - a1[1] * a2[0])
     # |n_i| <= rmax / (spacing of the lattice lines along a_i) for |R| <= rmax
     n = int(math.ceil(rmax * max(np.linalg.norm(a1), np.linalg.norm(a2)) / cross)) + 1
+    pmax = max(p for p, _ in keys)
+    sigmas = np.array(sorted({sig for _, sig in keys}))
+    smax = np.abs(sigmas).max()
+    col = {sig: i for i, sig in enumerate(sigmas)}
+    y0 = {(p, sig): _ylm(sig, p, 0.0, math.pi / 2) for p, sig in keys}
     tot = {key: 0.0 + 0.0j for key in keys}
-    for row in range(-n, n + 1):
-        g1 = np.arange(-n, n + 1, dtype=float)
-        if row == 0:
-            g1 = g1[g1 != 0]
-        g2 = np.full_like(g1, float(row))
-        rx = g1 * a1[0] + g2 * a2[0]
-        ry = g1 * a1[1] + g2 * a2[1]
+    g1 = np.arange(-n, n + 1, dtype=float)
+    block = max(1, 2**16 // g1.size)
+    for first in range(-n, n + 1, block):
+        g2 = np.arange(first, min(first + block, n + 1), dtype=float)
+        rx = (g1 * a1[0] + g2[:, None] * a2[0]).ravel()
+        ry = (g1 * a1[1] + g2[:, None] * a2[1]).ravel()
         r = np.hypot(rx, ry)
-        sel = r <= rmax
+        sel = (r <= rmax) & (r > 0)
         if not sel.any():
             continue
         rx, ry, r = rx[sel], ry[sel], r[sel]
@@ -175,10 +190,13 @@ def direct_lattice_sums(
         if windowed:
             ph = ph * smooth_window(r, rmax)
         phi = np.arctan2(ry, rx)
-        z = k * r
-        for (p, sig) in keys:
-            y = _ylm(sig, p, phi, math.pi / 2)
-            tot[(p, sig)] += complex(np.sum(ph * h1_closed(p, z) * y))
+        # e^{i sigma phi}, conjugated from e^{i |sigma| phi} for sigma < 0 (phi is real)
+        e = _powers(np.exp(1j * phi), smax)[np.abs(sigmas)]
+        e[sigmas < 0] = e[sigmas < 0].conj()
+        # sums[i, p] = sum of ph h_p(k r) e^{i sigmas[i] phi} over the block
+        sums = e @ (ph * h1_closed(pmax, k * r)).T
+        for p, sig in keys:
+            tot[(p, sig)] += y0[(p, sig)] * complex(sums[col[sig], p])
     return tot
 
 

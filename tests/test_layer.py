@@ -331,11 +331,12 @@ class TestMirrorSectorBasis:
             assert beam_sectors(beam_set(SQUARE, 1.5, (0.9, 0.2), VACUUM, 12.0)) is None
         else:
             sectors = multipole_sectors(3)
-        n = sectors.vrow.shape[1]
+        n = 2 * sectors.idx.shape[-1]
         u = np.zeros((n, n))  # the basis as a matrix, columns sector 0 then 1
         for s in range(2):
             for q in range(2):
                 u[sectors.idx[q, s], s * n // 2 + np.arange(n // 2)] += sectors.w[q, s]
+        assert np.array_equal(sectors.basis, u)
         assert np.allclose(u.T @ u, np.eye(n), atol=1e-15)
         x = np.random.default_rng(1).normal(size=(2, n // 2, n // 2))
         full = sectors.unfold(x)

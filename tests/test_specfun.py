@@ -17,9 +17,9 @@ from pcfilm.specfun import (
     gaunt_lmm,
     sph_bessel,
     sph_hankel1,
-    ylm_table,
     zl_derivative,
 )
+from pcfilm.vswf import sidx, ylm_flat
 
 
 class TestSphBessel:
@@ -197,15 +197,15 @@ class TestYlmTable:
         ct = 1.3 + 0.2j  # evanescent direction: |cos| > 1, st from the decaying branch
         st = cmath.sqrt(1 - ct * ct)
         phi = 0.7
-        tab = ylm_table(2, ct, st, phi)
-        assert tab[1, 2 + 0] == pytest.approx(math.sqrt(3 / (4 * math.pi)) * ct, rel=1e-14)
-        assert tab[1, 2 + 1] == pytest.approx(
+        tab = ylm_flat(2, ct, st, phi)
+        assert tab[sidx(1, 0)] == pytest.approx(math.sqrt(3 / (4 * math.pi)) * ct, rel=1e-14)
+        assert tab[sidx(1, 1)] == pytest.approx(
             -math.sqrt(3 / (8 * math.pi)) * st * cmath.exp(1j * phi), rel=1e-14
         )
-        assert tab[1, 2 - 1] == pytest.approx(
+        assert tab[sidx(1, -1)] == pytest.approx(
             math.sqrt(3 / (8 * math.pi)) * st * cmath.exp(-1j * phi), rel=1e-14
         )
-        assert tab[2, 2 + 0] == pytest.approx(
+        assert tab[sidx(2, 0)] == pytest.approx(
             math.sqrt(5 / (16 * math.pi)) * (3 * ct * ct - 1), rel=1e-14
         )
 
@@ -214,16 +214,19 @@ class TestYlmTable:
         ct = rng.normal(size=(3, 5)) + 0.4j * rng.normal(size=(3, 5))
         st = np.sqrt(1 - ct * ct)
         phi = rng.uniform(-math.pi, math.pi, size=5)
-        tab = ylm_table(6, ct, st, phi)
-        assert tab.shape == (3, 5, 7, 13)
+        tab = ylm_flat(6, ct, st, phi)
+        assert tab.shape == (3, 5, 49)
+        lms = [(l, m) for l in range(7) for m in range(-l, l + 1)]
+        assert [sidx(l, m) for l, m in lms] == list(range(49))
         for i in range(3):
             for j in range(5):
                 one = _ylm_loop(6, ct[i, j], st[i, j], phi[j])
-                assert np.max(np.abs(tab[i, j] - one)) <= 1e-14 * np.max(np.abs(one))
+                want = np.array([one[l, 6 + m] for l, m in lms])
+                assert np.max(np.abs(tab[i, j] - want)) <= 1e-14 * np.max(np.abs(one))
 
 
 def _ylm_loop(lmax, ct, st, phi):
-    """ylm_table for one direction, one (l, m) at a time (reference)."""
+    """Y_lm for one direction as a table [l, m + lmax], one (l, m) at a time (reference)."""
     p = np.zeros((lmax + 1, lmax + 1), dtype=complex)
     p[0, 0] = math.sqrt(1.0 / (4.0 * math.pi))
     for m in range(1, lmax + 1):

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import pcfilm.specfun as sf
 from pcfilm.specfun import sph_bessel
 from pcfilm.vswf import (
     E_SPH,
@@ -18,7 +17,9 @@ from pcfilm.vswf import (
     lm_list,
     nlm,
     plane_wave_coeffs,
+    sidx,
     spherical_components,
+    ylm_flat,
 )
 
 
@@ -63,13 +64,13 @@ class TestScalarExpansion:
         phr = math.atan2(r[1], r[0])
         lmax = 25
         j = sph_bessel(lmax, k * rr)
-        yk = sf.ylm_table(lmax, math.cos(th_k), math.sin(th_k), ph_k)
-        yr = sf.ylm_table(lmax, ctr, str_, phr)
+        yk = ylm_flat(lmax, math.cos(th_k), math.sin(th_k), ph_k)
+        yr = ylm_flat(lmax, ctr, str_, phr)
         total = 0.0 + 0.0j
         for lam in range(lmax + 1):
             for nu in range(-lam, lam + 1):
-                ybar = (-1) ** nu * yk[lam, lmax - nu]
-                total += 4 * math.pi * 1j**lam * ybar * j[lam] * yr[lam, lmax + nu]
+                ybar = (-1) ** nu * yk[sidx(lam, -nu)]
+                total += 4 * math.pi * 1j**lam * ybar * j[lam] * yr[sidx(lam, nu)]
         assert total == pytest.approx(cmath.exp(1j * np.dot(kvec, r)), abs=1e-12)
 
 
