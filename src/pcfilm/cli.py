@@ -28,6 +28,14 @@ from .output import fmt9, write_band_svg, write_csv, write_heatmap_svg
 from .stack import Repeat, slice_smatrix, walk_stack
 
 
+def _overridden(scene: sc.Scene, args) -> sc.Scene:
+    """scene with the --lmax, --cutoff and --units given on the command line."""
+    overrides = {
+        k: getattr(args, k) for k in ("lmax", "cutoff", "units") if getattr(args, k) is not None
+    }
+    return dataclasses.replace(scene, **overrides) if overrides else scene
+
+
 def _load_scene(args) -> sc.Scene:
     if (args.preset is None) == (args.config is None):
         raise PcfilmError("exactly one of --preset / --config is required")
@@ -35,14 +43,7 @@ def _load_scene(args) -> sc.Scene:
         scene = sc.preset(args.preset)
     else:
         scene = sc.parse_config(Path(args.config).read_text(encoding="utf-8"))
-    overrides = {}
-    if args.lmax is not None:
-        overrides["lmax"] = args.lmax
-    if args.cutoff is not None:
-        overrides["cutoff"] = args.cutoff
-    if args.units is not None:
-        overrides["units"] = args.units
-    return dataclasses.replace(scene, **overrides) if overrides else scene
+    return _overridden(scene, args)
 
 
 def _freq_header(scene: sc.Scene) -> str:
@@ -249,7 +250,7 @@ def run_validate(scene: sc.Scene):
         inner = Material(complex(sphere.inside.eps).real)
         resid = 0.0
         for om in om_pts:
-            t_e, t_m = mie_t(SphereScatterer(sphere.radius, inner, host), float(om), 7)
+            t_e, t_m = mie_t(SphereScatterer(sphere.radius, inner, host), float(om), scene.lmax)
             resid = max(
                 resid,
                 float(np.max(np.abs(np.abs(1 + 2 * t_e) - 1))),
@@ -260,12 +261,10 @@ def run_validate(scene: sc.Scene):
 
 
 def cmd_validate(args, out: Path) -> int:
-    names = [args.preset] if args.preset else sorted(sc.PRESET_TEXT)
-    if args.config:
-        scene = sc.parse_config(Path(args.config).read_text(encoding="utf-8"))
-        targets = [("config", scene)]
+    if args.preset is None and args.config is None:
+        targets = [(n, _overridden(sc.preset(n), args)) for n in sorted(sc.PRESET_TEXT)]
     else:
-        targets = [(n, sc.preset(n)) for n in names]
+        targets = [(args.preset or "config", _load_scene(args))]
     lines = []
     ok = True
     for name, scene in targets:

@@ -48,7 +48,7 @@ from .errors import ConfigError
 from .lattice import Lattice2D
 from .layer import Plate, PlaneOfSpheres
 from .mie import Material, SphereScatterer, VACUUM
-from .specfun import LMAX_DEFAULT
+from .specfun import LMAX_CAP, LMAX_DEFAULT
 from .stack import Gap, Interface, NumericalControls, Repeat, StackDescription, walk_stack
 
 SECTIONS = ("materials", "lattice", "stack", "sweep", "numerics")
@@ -76,6 +76,12 @@ class Scene:
     frequency_unit: float
     lmax: int
     cutoff: float | str  # "auto" or value
+
+    def __post_init__(self):
+        # checked here, so that a config file and a replaced field alike fail at load
+        if not 1 <= self.lmax <= LMAX_CAP:
+            msg = f"[numerics] lmax must be in 1..{LMAX_CAP}, got {self.lmax}"
+            raise ConfigError([(None, msg)])
 
     def material(self, name: str) -> Material:
         if name == "vacuum":

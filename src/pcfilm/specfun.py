@@ -12,12 +12,18 @@ Conventions used throughout the package:
   AMOS complex Bessel routines, Amos, ACM TOMS 12, 265 (1986)).
 * ``Ybar_lm = (-1)^m Y_{l,-m}`` is the analytic continuation of the complex
   conjugate; it coincides with conj(Y_lm) for real angles.
+* The angular-momentum coupling coefficients are computed in floating point
+  in ``vswf``: the spin-1 Clebsch-Gordan coefficients from their closed forms
+  (``vswf._CG1``), within 2.2e-16 of the exact Racah values for l <= 14, and
+  the Gaunt integrals of the lattice-sum recipe by Gauss-Legendre quadrature
+  over ``legendre_normalized`` (``vswf._scalar_contraction``), within 4e-14
+  of the exact values for lam <= 15.  The exact Racah formula in rational
+  arithmetic is the test suite's reference (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -102,61 +108,3 @@ def _legendre_coefs(l: int) -> tuple[np.ndarray, np.ndarray]:
     a = np.array([math.sqrt((4 * l * l - 1) / (l * l - k * k)) for k in m])
     b = np.array([math.sqrt(((l - 1) ** 2 - k * k) / (4 * (l - 1) ** 2 - 1)) for k in m])
     return a, b
-
-
-@lru_cache(maxsize=200000)
-def _wigner3j(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int) -> float:
-    """Exact Wigner 3j symbol via the Racah formula in rational arithmetic."""
-    if m1 + m2 + m3 != 0:
-        return 0.0
-    if j3 < abs(j1 - j2) or j3 > j1 + j2:
-        return 0.0
-    if abs(m1) > j1 or abs(m2) > j2 or abs(m3) > j3:
-        return 0.0
-    f = math.factorial
-    delta = Fraction(
-        f(j1 + j2 - j3) * f(j1 - j2 + j3) * f(-j1 + j2 + j3), f(j1 + j2 + j3 + 1)
-    )
-    norm = delta * (
-        f(j1 + m1) * f(j1 - m1) * f(j2 + m2) * f(j2 - m2) * f(j3 + m3) * f(j3 - m3)
-    )
-    kmin = max(0, j2 - j3 - m1, j1 - j3 + m2)
-    kmax = min(j1 + j2 - j3, j1 - m1, j2 + m2)
-    total = Fraction(0)
-    for k in range(kmin, kmax + 1):
-        den = (
-            f(k)
-            * f(j1 + j2 - j3 - k)
-            * f(j1 - m1 - k)
-            * f(j2 + m2 - k)
-            * f(j3 - j2 + m1 + k)
-            * f(j3 - j1 - m2 + k)
-        )
-        total += Fraction((-1) ** k, den)
-    if total == 0:
-        return 0.0
-    sign = (-1) ** (j1 - j2 - m3)
-    return sign * float(total) * math.sqrt(float(norm))
-
-
-@lru_cache(maxsize=200000)
-def clebsch_gordan(j1: int, m1: int, j2: int, m2: int, J: int, M: int) -> float:
-    """<j1 m1; j2 m2 | J M> from the exact 3j symbol."""
-    if m1 + m2 != M:
-        return 0.0
-    return (-1) ** (j1 - j2 + M) * math.sqrt(2 * J + 1) * _wigner3j(j1, j2, J, m1, m2, -M)
-
-
-def gaunt_lmm(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> float:
-    """Gaunt integral int Y_{l1 m1} Y_{l2 m2} conj(Y_{l3 m3}) dOmega.
-
-    Exact zero under any selection-rule violation (total function), because
-    _wigner3j is: odd l1 + l2 + l3 makes the (0, 0, 0) symbol vanish.
-    """
-    pref = math.sqrt((2 * l1 + 1) * (2 * l2 + 1) * (2 * l3 + 1) / (4.0 * math.pi))
-    return (
-        (-1) ** m3
-        * pref
-        * _wigner3j(l1, l2, l3, 0, 0, 0)
-        * _wigner3j(l1, l2, l3, m1, m2, -m3)
-    )

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the package's own special-function and
 summation code: radial functions come from mpmath (half-integer Bessel),
-spherical harmonics from scipy.special, and the Mie channels from a direct
+spherical harmonics from scipy.special, coupling coefficients from the exact
+Racah formula in rational arithmetic, and the Mie channels from a direct
 boundary-condition solve instead of the ratio formulas.  The exceptions are
 at the end of the file: ``sph_neumann`` combines the package's h and j so a
 Wronskian can test them, and ``assoc_legendre`` is a plain recursion whose
@@ -13,6 +14,8 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -123,6 +126,58 @@ def gaunt_quadrature(l1, m1, l2, m2, l3, m3, n=40) -> float:
     y3 = np.conj(_ylm(m3, l3, 0.0, theta))
     total = 2.0 * math.pi * np.sum(ws * y1 * y2 * y3)
     return float(total.real)
+
+
+@lru_cache(maxsize=None)
+def wigner3j(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int) -> float:
+    """Exact Wigner 3j symbol via the Racah formula in rational arithmetic."""
+    if m1 + m2 + m3 != 0:
+        return 0.0
+    if j3 < abs(j1 - j2) or j3 > j1 + j2:
+        return 0.0
+    if abs(m1) > j1 or abs(m2) > j2 or abs(m3) > j3:
+        return 0.0
+    f = math.factorial
+    delta = Fraction(
+        f(j1 + j2 - j3) * f(j1 - j2 + j3) * f(-j1 + j2 + j3), f(j1 + j2 + j3 + 1)
+    )
+    norm = delta * (
+        f(j1 + m1) * f(j1 - m1) * f(j2 + m2) * f(j2 - m2) * f(j3 + m3) * f(j3 - m3)
+    )
+    kmin = max(0, j2 - j3 - m1, j1 - j3 + m2)
+    kmax = min(j1 + j2 - j3, j1 - m1, j2 + m2)
+    total = Fraction(0)
+    for k in range(kmin, kmax + 1):
+        den = (
+            f(k)
+            * f(j1 + j2 - j3 - k)
+            * f(j1 - m1 - k)
+            * f(j2 + m2 - k)
+            * f(j3 - j2 + m1 + k)
+            * f(j3 - j1 - m2 + k)
+        )
+        total += Fraction((-1) ** k, den)
+    if total == 0:
+        return 0.0
+    sign = (-1) ** (j1 - j2 - m3)
+    return sign * float(total) * math.sqrt(float(norm))
+
+
+def clebsch_gordan(j1: int, m1: int, j2: int, m2: int, J: int, M: int) -> float:
+    """<j1 m1; j2 m2 | J M> from the exact 3j symbol."""
+    if m1 + m2 != M:
+        return 0.0
+    return (-1) ** (j1 - j2 + M) * math.sqrt(2 * J + 1) * wigner3j(j1, j2, J, m1, m2, -M)
+
+
+def gaunt_exact(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> float:
+    """Gaunt integral int Y_{l1 m1} Y_{l2 m2} conj(Y_{l3 m3}) dOmega from exact 3j symbols.
+
+    Exactly 0.0 under any selection-rule violation and at every accidental
+    zero of the 3j symbols.
+    """
+    pref = math.sqrt((2 * l1 + 1) * (2 * l2 + 1) * (2 * l3 + 1) / (4.0 * math.pi))
+    return (-1) ** m3 * pref * wigner3j(l1, l2, l3, 0, 0, 0) * wigner3j(l1, l2, l3, m1, m2, -m3)
 
 
 def h1_closed(pmax: int, z: np.ndarray) -> np.ndarray:

@@ -159,7 +159,8 @@ class TestLatticeSumOracles:
 
     def test_ewald_vs_lossless_extrapolation(self):
         # sub-diffraction: omega = 0.3 with |kpar| = 0.054 is far from any
-        # Wood anomaly, so the Abel-limit oracle converges (slow: ~2 min)
+        # Wood anomaly, so the Abel-limit oracle converges (slow: about 22 s on
+        # a 2-core Intel Xeon VM)
         k0, kpar, pmax = 0.3, (0.05, 0.02), 4
         tab = lattice_sums_ewald(SQUARE, k0, kpar, pmax)
         keys = [(p, s) for p in range(pmax + 1) for s in range(-p, p + 1) if (p + s) % 2 == 0]

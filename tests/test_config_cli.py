@@ -124,6 +124,8 @@ MESSAGE_CASES = {
         [("lmax = 7", "lmax = 7.0")],
         [(26, "bad value for 'lmax': invalid literal for int() with base 10: '7.0'")],
     ),
+    "lmax-range": ([("lmax = 7", "lmax = 20")], [(None, "[numerics] lmax must be in 1..14, got 20")]),
+    "lmax-zero": ([("lmax = 7", "lmax = 0")], [(None, "[numerics] lmax must be in 1..14, got 0")]),
     "phi-float": (
         [("phi = 0.0", "phi = east")],
         [(21, "bad value for 'phi': could not convert string to float: 'east'")],
@@ -383,6 +385,33 @@ class TestCli:
         argv = [command, "--config", cfg, "--out", str(tmp_path / "x"), "--cutoff", "0.01"]
         assert main(argv) == 2
         assert f"error: {prefix}cutoff 0.01 < omega*sqrt|eps|" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["preset", "config", "every-preset"])
+    def test_validate_applies_overrides(self, tmp_path, monkeypatch, source):
+        seen = []
+        monkeypatch.setattr("pcfilm.cli.run_validate", lambda scene: seen.append(scene) or [])
+        argv = {
+            "preset": ["--preset", "paper-fig2"],
+            "config": ["--config", self._write(tmp_path, sc.preset("paper-fig2"))],
+            "every-preset": [],
+        }[source]
+        overrides = ["--lmax", "9", "--cutoff", "23.4", "--units", "ordinary"]
+        assert main(["validate", *argv, *overrides, "--out", str(tmp_path / "v")]) == 0
+        assert len(seen) == (len(sc.PRESET_TEXT) if source == "every-preset" else 1)
+        for scene in seen:
+            assert (scene.lmax, scene.cutoff, scene.units) == (9, 23.4, "ordinary")
+
+    def test_validate_preset_and_config_conflict(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, _small_fig3())
+        argv = ["validate", "--preset", "paper-fig3", "--config", cfg, "--out", str(tmp_path / "x")]
+        assert main(argv) == 2
+        assert "exactly one of --preset / --config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lmax", ["0", "15"])
+    def test_lmax_override_out_of_range(self, tmp_path, capsys, lmax):
+        argv = ["band", "--preset", "paper-fig4", "--lmax", lmax, "--out", str(tmp_path / "x")]
+        assert main(argv) == 2
+        assert f"error: [numerics] lmax must be in 1..14, got {lmax}" in capsys.readouterr().err
 
     def test_preset_and_config_conflict(self, tmp_path):
         cfg = self._write(tmp_path, _small_fig3())

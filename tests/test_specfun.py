@@ -1,9 +1,10 @@
-"""Special functions: radial functions, Legendre/harmonics, Gaunt coefficients."""
+"""Special functions: radial functions, Legendre/harmonics, coupling coefficients."""
 
 from __future__ import annotations
 
 import cmath
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -11,15 +12,19 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import assoc_legendre, gaunt_quadrature, mp_sph_h1, mp_sph_jn, mp_sph_yn, sph_neumann
-from pcfilm.errors import InvalidArgumentError, SingularArgumentError
-from pcfilm.specfun import (
-    gaunt_lmm,
-    sph_bessel,
-    sph_hankel1,
-    zl_derivative,
+from oracles import (
+    assoc_legendre,
+    clebsch_gordan,
+    gaunt_exact,
+    gaunt_quadrature,
+    mp_sph_h1,
+    mp_sph_jn,
+    mp_sph_yn,
+    sph_neumann,
 )
-from pcfilm.vswf import sidx, ylm_flat
+from pcfilm.errors import InvalidArgumentError, SingularArgumentError
+from pcfilm.specfun import LMAX_CAP, sph_bessel, sph_hankel1, zl_derivative
+from pcfilm.vswf import _coupling, _scalar_contraction, lm_index, n_scalar, sidx, ylm_flat
 
 
 class TestSphBessel:
@@ -248,18 +253,61 @@ def _ylm_loop(lmax, ct, st, phi):
     return out
 
 
+@lru_cache(maxsize=None)
+def _recipe(lam_max):
+    """{(lam, nu, p, lam', nu'): coef} of the in-plane lattice-sum recipe."""
+    keys, flat, coefs, key = _scalar_contraction(lam_max)
+    ns = n_scalar(lam_max)
+    lm = [(lam, nu) for lam in range(lam_max + 1) for nu in range(-lam, lam + 1)]
+    return {
+        lm[f // ns] + (keys[k][0],) + lm[f % ns]: c for f, c, k in zip(flat.tolist(), coefs, key)
+    }
+
+
+def _gaunt_from_coef(coef, lam, p, lamp):
+    """G from the recipe coefficient 4 pi i^(lam+p-lam') (-1)^p G."""
+    return coef / (4.0 * math.pi * (1j) ** (lam + p - lamp) * (-1) ** p)
+
+
+def _exact_recipe(lam_max):
+    """The recipe's terms from exact Gaunt integrals: every term the selection
+    rules allow (p + sigma even for in-plane sums) whose value is nonzero."""
+    out = {}
+    for lam in range(lam_max + 1):
+        for nu in range(-lam, lam + 1):
+            for lamp in range(lam_max + 1):
+                for nup in range(-lamp, lamp + 1):
+                    for p in range(abs(lam - lamp), lam + lamp + 1, 2):
+                        sigma = nup - nu
+                        if abs(sigma) > p or (p + sigma) % 2:
+                            continue
+                        g = gaunt_exact(lam, nu, p, sigma, lamp, nup)
+                        if g != 0.0:
+                            coef = 4.0 * math.pi * (1j) ** (lam + p - lamp) * (-1) ** p * g
+                            out[lam, nu, p, lamp, nup] = coef
+    return out
+
+
 class TestGaunt:
+    """The Gaunt recipe of the lattice sums (vswf._scalar_contraction), by quadrature."""
+
     def test_y00_normalization(self):
-        v = gaunt_lmm(0, 0, 0, 0, 0, 0)
-        assert v == pytest.approx(1.0 / math.sqrt(4.0 * math.pi), abs=1e-14)
+        # G(00; 00; 00) = 1 / sqrt(4 pi)
+        coef = _recipe(1)[0, 0, 0, 0, 0]
+        assert coef == pytest.approx(math.sqrt(4.0 * math.pi), abs=1e-14)
 
     def test_m_selection_rule(self):
-        assert gaunt_lmm(1, 0, 1, 0, 1, 1) == 0.0
+        # every term adds S_{p, nu' - nu} at (lam, nu), (lam', nu')
+        keys, flat, _, key = _scalar_contraction(6)
+        ns = n_scalar(6)
+        nu = np.array([n for lam in range(7) for n in range(-lam, lam + 1)])
+        sigma = np.array([k[1] for k in keys])[key]
+        assert np.array_equal(sigma, nu[flat % ns] - nu[flat // ns])
 
     def test_vs_quadrature_oracle(self):
-        v = gaunt_lmm(2, 1, 1, 0, 3, 1)
-        ref = gaunt_quadrature(2, 1, 1, 0, 3, 1)
-        assert v == pytest.approx(ref, abs=1e-12)
+        coef = _recipe(3)[2, 1, 1, 3, 2]
+        ref = gaunt_quadrature(2, 1, 1, 1, 3, 2)
+        assert _gaunt_from_coef(coef, 2, 1, 3) == pytest.approx(ref, abs=1e-12)
 
     @given(
         l1=st.integers(0, 4),
@@ -270,17 +318,64 @@ class TestGaunt:
     )
     @settings(max_examples=80, deadline=None)
     def test_exchange_symmetry_and_quadrature(self, l1, l2, l3, m1, m2):
-        if abs(m1) > l1 or abs(m2) > l2 or abs(m1 + m2) > l3:
+        # the lam and p slots exchange when both lattice sums are in-plane
+        if abs(m1) > l1 or abs(m2) > l2 or abs(m1 + m2) > l3 or (l1 + m1) % 2 or (l2 + m2) % 2:
             return
         m3 = m1 + m2
-        a = gaunt_lmm(l1, m1, l2, m2, l3, m3)
-        b = gaunt_lmm(l2, m2, l1, m1, l3, m3)
-        assert a == pytest.approx(b, abs=1e-14)
         ref = gaunt_quadrature(l1, m1, l2, m2, l3, m3)
-        assert a == pytest.approx(ref, abs=1e-12)
+        a = _recipe(6).get((l1, m1, l2, l3, m3))
+        b = _recipe(6).get((l2, m2, l1, l3, m3))
+        if abs(ref) < 1e-12:
+            assert a is None and b is None
+            return
+        assert _gaunt_from_coef(a, l1, l2, l3) == pytest.approx(ref, abs=1e-12)
+        assert _gaunt_from_coef(b, l2, l1, l3) == pytest.approx(ref, abs=1e-12)
 
     def test_selection_rule_violations_exact_zero(self):
-        # triangle violation
-        assert gaunt_lmm(0, 0, 0, 0, 2, 0) == 0.0
-        # parity violation
-        assert gaunt_lmm(1, 0, 1, 0, 1, 0) == 0.0
+        terms = _recipe(6)
+        assert all(abs(lam - lamp) <= p <= lam + lamp for lam, _, p, lamp, _ in terms)
+        assert all((lam + p + lamp) % 2 == 0 for lam, _, p, lamp, _ in terms)
+        # triangle and parity violations
+        assert (0, 0, 2, 0, 0) not in terms
+        assert (1, 0, 1, 1, 0) not in terms
+
+    @pytest.mark.parametrize("lam_max", range(1, 10))
+    def test_terms_match_exact_recipe(self, lam_max):
+        got, want = _recipe(lam_max), _exact_recipe(lam_max)
+        # the same terms, accidental zeros of the 3j symbols left out too
+        assert got.keys() == want.keys()
+        assert max(abs(got[t] - want[t]) for t in want) <= 1e-12
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_sampled_terms_vs_exact_past_cap(self, data):
+        lam_max = LMAX_CAP + 1
+        lam = data.draw(st.integers(0, lam_max))
+        lamp = data.draw(st.integers(0, lam_max))
+        nu = data.draw(st.integers(-lam, lam))
+        nup = data.draw(st.integers(-lamp, lamp))
+        sigma = nup - nu
+        p = data.draw(st.integers(max(abs(lam - lamp), abs(sigma)), lam + lamp))
+        g = gaunt_exact(lam, nu, p, sigma, lamp, nup)
+        coef = _recipe(lam_max).get((lam, nu, p, lamp, nup))
+        if g == 0.0 or (p + sigma) % 2:
+            assert coef is None
+        else:
+            want = 4.0 * math.pi * (1j) ** (lam + p - lamp) * (-1) ** p * g
+            assert abs(coef - want) <= 1e-12
+
+
+class TestClebschGordan:
+    def test_closed_forms_vs_oracle(self):
+        u = _coupling(LMAX_CAP)[0]
+        want = np.zeros_like(u)
+        nv = u.shape[1] // 2
+        for l in range(1, LMAX_CAP + 1):
+            for m in range(-l, l + 1):
+                for q in (-1, 0, 1):
+                    for j in (l - 1, l, l + 1):
+                        if abs(m - q) <= j:
+                            cg = clebsch_gordan(j, m - q, 1, q, l, m)
+                            # the magnetic and the electric row of (l, m)
+                            want[q + 1, [lm_index(l, m), nv + lm_index(l, m)], sidx(j, m - q)] = cg
+        assert np.max(np.abs(u - want)) <= 1e-15
