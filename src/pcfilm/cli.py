@@ -25,7 +25,7 @@ from .layer import Plate
 from .mie import Material, SphereScatterer, mie_cross_sections, mie_t
 from .onedim import OneDimLayer, solve_onedim
 from .output import fmt9, write_band_svg, write_csv, write_heatmap_svg
-from .stack import Repeat, slice_smatrix, walk_stack
+from .stack import Repeat, slice_smatrix
 
 
 def _overridden(scene: sc.Scene, args) -> sc.Scene:
@@ -58,23 +58,24 @@ def _grid_points(scene: sc.Scene):
     return om_disp, om_int, th, th_deg
 
 
-def _angular_map(scene: sc.Scene, threads: int):
-    """(displayed omega, theta in degrees, EmissivityMap) over the scene's grid."""
-    om_disp, om_int, th, th_deg = _grid_points(scene)
+def _angular_map(scene: sc.Scene, om_disp, th, threads: int = 1):
+    """EmissivityMap at displayed omegas and angles th (rad), failures named as displayed."""
     try:
-        emap = angular_map(
-            scene.build_stack(), om_int, th, scene.controls(), math.radians(scene.phi_deg), threads
+        return angular_map(
+            scene.build_stack(), scene.omega_internal(om_disp), th, scene.controls(),
+            math.radians(scene.phi_deg), threads,
         )
     except GridPointError as exc:
         i, j = exc.index
         raise PcfilmError(
-            f"emissivity failed at omega={om_disp[i]}, theta={th_deg[j]} deg: {exc.__cause__}"
+            f"emissivity failed at omega={om_disp[i]}, theta={np.degrees(th[j])} deg: "
+            f"{exc.__cause__}"
         ) from exc
-    return om_disp, th_deg, emap
 
 
 def cmd_spectrum(scene: sc.Scene, out: Path, threads: int) -> list[Path]:
-    om_disp, th_deg, emap = _angular_map(scene, threads)
+    om_disp, _, th, th_deg = _grid_points(scene)
+    emap = _angular_map(scene, om_disp, th, threads)
     rows = [
         [fmt9(om_disp[i]), fmt9(th_deg[j]), pol]
         + [fmt9(x[i, j, k]) for x in (emap.R, emap.T, emap.A, emap.A)]  # E = A
@@ -88,7 +89,8 @@ def cmd_spectrum(scene: sc.Scene, out: Path, threads: int) -> list[Path]:
 
 
 def cmd_sweep(scene: sc.Scene, out: Path, threads: int) -> list[Path]:
-    om_disp, th_deg, emap = _angular_map(scene, threads)
+    om_disp, _, th, th_deg = _grid_points(scene)
+    emap = _angular_map(scene, om_disp, th, threads)
     maps = (("s", emap.e_s), ("p", emap.e_p), ("avg", emap.e_avg))
     rows = []
     for pol, mat in maps:
@@ -163,8 +165,7 @@ def cmd_band(scene: sc.Scene, out: Path, threads: int) -> list[Path]:
 
 
 def _first_scatterer(scene: sc.Scene) -> SphereScatterer:
-    desc = scene.build_stack()
-    plane = walk_stack(desc.elements, desc.incident).plane
+    plane = scene.build_stack().walk.plane
     if plane is None:
         raise PcfilmError("scene contains no sphere plane; nothing for 'mie' to compute")
     return plane.scatterer
@@ -222,18 +223,18 @@ def run_validate(scene: sc.Scene):
     pw = planck_weight(grid, np.ones_like(grid), 1.0)
     checks.append(("planck-normalization", abs(np.trapezoid(pw.weighted, grid) - 1.0), 1e-6))
 
-    ll = _lossless_variant(scene)
-    om_int = ll.omega_internal(ll.omega_display_grid())
-    om_pts = om_int[[0, om_int.size // 2, -1]]
+    om_disp = scene.omega_display_grid()
+    om_disp = om_disp[[0, om_disp.size // 2, -1]]
+    om_pts = scene.omega_internal(om_disp)
     th_pts = (0.0, math.radians(40.0))
-    emap = angular_map(ll.build_stack(), om_pts, th_pts, ll.controls())
+    emap = _angular_map(_lossless_variant(scene), om_disp, th_pts)
     resid = float(np.max(np.abs(emap.R + emap.T - 1.0)))
     layers = _plate_layers(scene)
     checks.append(("energy-conservation", resid, 1e-10 if layers is not None else 1e-6))
 
     if layers is not None:
         desc = scene.build_stack()
-        emap = angular_map(desc, om_pts, th_pts, scene.controls())
+        emap = _angular_map(scene, om_disp, th_pts)
         onedim = np.array([
             [
                 [solve_onedim(layers, float(om), th, pol, desc.incident, desc.exit,

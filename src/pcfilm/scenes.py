@@ -21,8 +21,8 @@ Config format (UTF-8, ``#`` comments)::
     post1 = ...
 
     [sweep]
-    omega = 1.8 2.8 150       # min max count, display units
-    theta = 0 60 13           # degrees
+    omega = 1.8 2.8 150       # min max count, display units; min, max > 0
+    theta = 0 60 13           # degrees, min and max in [0, 90)
     phi = 0                   # degrees
     units = angular           # angular | ordinary ("c/a" with or without 2pi)
     frequency_unit = 1.4142135623730951   # display unit length / internal unit
@@ -35,6 +35,8 @@ Element forms: ``interface <matL> <matR>``, ``gap <d>``, ``plate <mat> <d>``,
 ``spheres <inner-mat> <radius> [offx offy]`` (host = current ambient).
 All lengths are in internal units (the 2D lattice constant); display
 frequencies are internal * frequency_unit (angular) or that / 2pi (ordinary).
+Loading a scene rejects a sweep outside these ranges or with a count below 1,
+and builds the stack once, which checks every element against its ambient.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .lattice import Lattice2D
 from .layer import Plate, PlaneOfSpheres
 from .mie import Material, SphereScatterer, VACUUM
 from .specfun import LMAX_CAP, LMAX_DEFAULT
-from .stack import Gap, Interface, NumericalControls, Repeat, StackDescription, walk_stack
+from .stack import Gap, Interface, NumericalControls, Repeat, StackDescription
 
 SECTIONS = ("materials", "lattice", "stack", "sweep", "numerics")
 ELEMENT_KINDS = ("interface", "gap", "plate", "spheres")
@@ -79,9 +81,17 @@ class Scene:
 
     def __post_init__(self):
         # checked here, so that a config file and a replaced field alike fail at load
+        issues = []
         if not 1 <= self.lmax <= LMAX_CAP:
-            msg = f"[numerics] lmax must be in 1..{LMAX_CAP}, got {self.lmax}"
-            raise ConfigError([(None, msg)])
+            issues.append(f"[numerics] lmax must be in 1..{LMAX_CAP}, got {self.lmax}")
+        lo, hi, n = self.omega_sweep
+        if not (lo > 0 and hi > 0 and n >= 1):
+            issues.append(f"[sweep] omega = {lo} {hi} {n}: need min, max > 0, count >= 1")
+        lo, hi, n = self.theta_sweep
+        if not (0 <= lo < 90 and 0 <= hi < 90 and n >= 1):
+            issues.append(f"[sweep] theta = {lo} {hi} {n}: need min, max in [0, 90), count >= 1")
+        if issues:
+            raise ConfigError([(None, msg) for msg in issues])
 
     def material(self, name: str) -> Material:
         if name == "vacuum":
@@ -316,8 +326,7 @@ def parse_config(text: str) -> Scene:
         raise ConfigError(issues)
     scene = Scene(materials=tuple(materials), **blocks, **values)
     try:
-        desc = scene.build_stack()  # materials resolve, element invariants hold
-        walk_stack(desc.elements, desc.incident)  # every element fits its ambient
+        scene.build_stack()  # materials resolve, every element fits its ambient
     except ConfigError:
         raise
     except Exception as exc:

@@ -10,7 +10,7 @@ final interface onto the exit medium is appended automatically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,6 +57,10 @@ class Repeat:
 class StackDescription:
     """Ordered layer elements with incident ambient and exit termination.
 
+    The stack is checked once, when it is built: the incident ambient must be
+    lossless, and ``walk_stack`` checks every element against its ambient.
+    Every solve reads the kept ``walk`` instead of walking again.
+
     ``opaque_exit`` marks the exit medium as an absorbing termination whose
     transmitted flux is not collected (T = 0); it defaults to True whenever
     the exit material is lossy.  A lossy exit cannot be transparent: no beam
@@ -67,13 +71,17 @@ class StackDescription:
     incident: Material = VACUUM
     exit: Material = VACUUM
     opaque_exit: bool | None = None
+    walk: StackWalk = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not self.incident.lossless:
+            raise InvalidArgumentError("incident ambient must be lossless")
         if self.opaque_exit is False and not self.exit.lossless:
             raise InvalidArgumentError(
                 f"a lossy exit medium (eps={self.exit.eps}) must be opaque: "
                 "no beam propagates in it to carry transmitted flux"
             )
+        object.__setattr__(self, "walk", walk_stack(self.elements, self.incident))
 
     @property
     def exit_is_opaque(self) -> bool:
@@ -136,9 +144,10 @@ class StackWalk:
     """What a validated element sequence leaves behind.
 
     ``exit`` is the ambient after the last element; ``media`` the set of eps
-    that fixes the beam cutoff (the first and last ambient, every ambient a
-    Repeat runs in, every plate material); ``plane`` the first sphere plane
-    in depth-first order, or None.  Every sphere plane shares its lattice.
+    that fixes the beam cutoff (the starting ambient, the right medium of
+    every interface, inside a Repeat or not, and every plate material);
+    ``plane`` the first sphere plane in depth-first order, or None.  Every
+    sphere plane shares its lattice.
     """
 
     exit: Material
@@ -158,7 +167,10 @@ def _first_plane(plane, other):
 
 
 def walk_stack(elements, ambient: Material) -> StackWalk:
-    """Check every element against the ambient it sits in."""
+    """Check every element against the ambient it sits in.
+
+    A StackDescription runs it once, when built; ``slice_smatrix`` per call.
+    """
     media = {complex(ambient.eps)}
     plane = None
     for el in elements:
@@ -168,6 +180,7 @@ def walk_stack(elements, ambient: Material) -> StackWalk:
                     f"interface left medium eps={el.left.eps} != ambient eps={ambient.eps}"
                 )
             ambient = el.right
+            media.add(complex(ambient.eps))
         elif isinstance(el, Repeat):
             sub = walk_stack(el.elements, ambient)
             if sub.exit.eps != ambient.eps:
@@ -184,7 +197,6 @@ def walk_stack(elements, ambient: Material) -> StackWalk:
             media.add(complex(el.material.eps))
         elif not isinstance(el, Gap):
             raise InvalidArgumentError(f"unknown stack element {el!r}")
-    media.add(complex(ambient.eps))
     return StackWalk(ambient, frozenset(media), plane)
 
 
@@ -240,20 +252,17 @@ class _LayerBuilder:
         return total
 
 
-def _builder(elements, ambient, omega, kpar, controls, lat=None, exit_mat=None):
-    """Validate the elements, fix the beam cutoff, return (builder, exit ambient)."""
-    walk = walk_stack(elements, ambient)
-    media = walk.media if exit_mat is None else walk.media | {complex(exit_mat.eps)}
-    eps_max = max(abs(e) for e in media)
+def _builder(walk, media, omega, kpar, controls, lat=None):
+    """Builder for a walked sequence, its beam cutoff covering every eps in media."""
     kpar = np.asarray(kpar, dtype=float)
-    cutoff = controls.resolved_cutoff(omega, eps_max, float(np.hypot(*kpar)))
+    cutoff = controls.resolved_cutoff(omega, max(abs(e) for e in media), float(np.hypot(*kpar)))
     if lat is None:
         lat = walk.plane.lattice if walk.plane is not None else SQUARE
     elif walk.plane is not None and lat != walk.plane.lattice:
         raise InvalidArgumentError(
             f"beam lattice {lat} != sphere plane lattice {walk.plane.lattice}"
         )
-    return _LayerBuilder(lat, omega, kpar, cutoff, controls.lmax), walk.exit
+    return _LayerBuilder(lat, omega, kpar, cutoff, controls.lmax)
 
 
 def slice_smatrix(
@@ -269,20 +278,19 @@ def slice_smatrix(
     Used for unit slices of a periodic stacking (band structure) where no
     entrance/exit interfaces are wanted.
     """
-    builder, _ = _builder(elements, ambient, omega, kpar, controls, lat)
-    return builder.compose(elements, ambient)
+    walk = walk_stack(elements, ambient)
+    return _builder(walk, walk.media, omega, kpar, controls, lat).compose(elements, ambient)
 
 
 def stack_smatrix(
     desc: StackDescription, omega: float, kpar, controls: NumericalControls
 ) -> LayerS:
     """Total S-matrix of the stack, including the final exit interface."""
-    builder, last = _builder(
-        desc.elements, desc.incident, omega, kpar, controls, exit_mat=desc.exit
-    )
+    walk = desc.walk
+    builder = _builder(walk, walk.media | {complex(desc.exit.eps)}, omega, kpar, controls)
     total = builder.compose(desc.elements, desc.incident)
-    if last.eps != desc.exit.eps:
-        tail = ly.interface_smatrix(last, desc.exit, builder.beams_in(last))
+    if walk.exit.eps != desc.exit.eps:
+        tail = ly.interface_smatrix(walk.exit, desc.exit, builder.beams_in(walk.exit))
         total = star_product(total, tail)
     return total
 
@@ -336,8 +344,6 @@ def solve_stack_points(
     for pol in pols:
         if pol not in ("s", "p"):
             raise InvalidArgumentError(f"pol must be 's' or 'p', got {pol!r}")
-    if not desc.incident.lossless:
-        raise InvalidArgumentError("incident ambient must be lossless")
     n_inc = desc.incident.n.real
     kpar = omega * n_inc * math.sin(theta) * np.array([math.cos(phi), math.sin(phi)])
     total = stack_smatrix(desc, omega, kpar, controls)

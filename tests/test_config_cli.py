@@ -126,6 +126,41 @@ MESSAGE_CASES = {
     ),
     "lmax-range": ([("lmax = 7", "lmax = 20")], [(None, "[numerics] lmax must be in 1..14, got 20")]),
     "lmax-zero": ([("lmax = 7", "lmax = 0")], [(None, "[numerics] lmax must be in 1..14, got 0")]),
+    "omega-negative": (
+        [("omega = 1.6 3.0 5", "omega = -1 3 3")],
+        [(None, "[sweep] omega = -1.0 3.0 3: need min, max > 0, count >= 1")],
+    ),
+    "omega-zero-max": (
+        [("omega = 1.6 3.0 5", "omega = 1.6 0 5")],
+        [(None, "[sweep] omega = 1.6 0.0 5: need min, max > 0, count >= 1")],
+    ),
+    "omega-no-points": (
+        [("omega = 1.6 3.0 5", "omega = 1.6 3.0 0")],
+        [(None, "[sweep] omega = 1.6 3.0 0: need min, max > 0, count >= 1")],
+    ),
+    "theta-past-grazing": (
+        [("theta = 0.0 60.0 3", "theta = 0 95 3")],
+        [(None, "[sweep] theta = 0.0 95.0 3: need min, max in [0, 90), count >= 1")],
+    ),
+    "theta-grazing": (
+        [("theta = 0.0 60.0 3", "theta = 90 0 3")],
+        [(None, "[sweep] theta = 90.0 0.0 3: need min, max in [0, 90), count >= 1")],
+    ),
+    "theta-negative": (
+        [("theta = 0.0 60.0 3", "theta = -10 60 3")],
+        [(None, "[sweep] theta = -10.0 60.0 3: need min, max in [0, 90), count >= 1")],
+    ),
+    "theta-no-points": (
+        [("theta = 0.0 60.0 3", "theta = 0 60 -2")],
+        [(None, "[sweep] theta = 0.0 60.0 -2: need min, max in [0, 90), count >= 1")],
+    ),
+    "range-issues-together": (
+        [("lmax = 7", "lmax = 0"), ("omega = 1.6 3.0 5", "omega = 0 3 5"),
+         ("theta = 0.0 60.0 3", "theta = 0 90 3")],
+        [(None, "[numerics] lmax must be in 1..14, got 0"),
+         (None, "[sweep] omega = 0.0 3.0 5: need min, max > 0, count >= 1"),
+         (None, "[sweep] theta = 0.0 90.0 3: need min, max in [0, 90), count >= 1")],
+    ),
     "phi-float": (
         [("phi = 0.0", "phi = east")],
         [(21, "bad value for 'phi': could not convert string to float: 'east'")],
@@ -371,8 +406,9 @@ class TestCli:
             ("spectrum", "emissivity failed at omega=2.0, theta=0.0 deg: "),
             ("sweep", "emissivity failed at omega=2.0, theta=0.0 deg: "),
             ("band", "band failed at omega=2.0: "),
+            ("validate", "emissivity failed at omega=2.0, theta=0.0 deg: "),
         ],
-        ids=["spectrum", "sweep", "band"],
+        ids=["spectrum", "sweep", "band", "validate"],
     )
     def test_failure_names_displayed_point(self, tmp_path, capsys, command, prefix):
         # a beam cutoff below the specular beam fails inside the solve; the

@@ -13,6 +13,7 @@ from oracles import fresnel_power_reflectance
 import pcfilm.layer as ly
 import pcfilm.scenes as sc
 import pcfilm.stack as stk
+from pcfilm.emissivity import angular_map
 from pcfilm.errors import InvalidArgumentError
 from pcfilm.lattice import SQUARE, TRIANGULAR, beam_set, mirror_fixed
 from pcfilm.layer import (
@@ -205,8 +206,9 @@ class TestSolveStack:
             solve_stack(desc, OM, math.pi / 2, 0.0, "s")
         with pytest.raises(InvalidArgumentError):
             solve_stack(desc, OM, 0.0, 0.0, "x")
-        with pytest.raises(InvalidArgumentError):
-            solve_stack(StackDescription((), incident=Material(2.0 + 0.1j)), OM, 0.0, 0.0, "s")
+        # a lossy incident ambient is rejected when the stack is built
+        with pytest.raises(InvalidArgumentError, match="incident ambient must be lossless"):
+            StackDescription((), incident=Material(2.0 + 0.1j))
 
     @given(
         eps_re=st.lists(st.floats(1.0, 16.0), min_size=1, max_size=4),
@@ -241,37 +243,70 @@ _SPHERE = SphereScatterer(0.2, Material(4.0), VACUUM)
 
 
 def _bad_stacks():
-    """Element sequences in a vacuum ambient that the stack walk must reject."""
+    """(elements in a vacuum ambient, the walk's message) that the stack walk rejects."""
     dense = Material(4.0)
     sphere_in_dense = SphereScatterer(0.2, Material(2.0), dense)
     square, triangular = (PlaneOfSpheres(lat, _SPHERE) for lat in (SQUARE, TRIANGULAR))
+    two_lattices = f"sphere plane lattice {TRIANGULAR} != first plane lattice {SQUARE}"
     return {
-        "interface-left-not-ambient": (Interface(dense, VACUUM),),
-        "sphere-host-not-ambient": (PlaneOfSpheres(SQUARE, sphere_in_dense),),
-        "repeat-changes-ambient": (Repeat((Interface(VACUUM, dense),), 2),),
-        "unknown-element": (Gap(0.1), "plate"),
-        "planes-on-two-lattices": (square, Gap(0.5), triangular),
-        "repeat-plane-on-other-lattice": (square, Repeat((Gap(0.5), triangular), 2)),
+        "interface-left-not-ambient": (
+            (Interface(dense, VACUUM),), "interface left medium eps=4.0 != ambient eps=1.0"
+        ),
+        "sphere-host-not-ambient": (
+            (PlaneOfSpheres(SQUARE, sphere_in_dense),),
+            "sphere plane host eps=4.0 != ambient eps=1.0",
+        ),
+        "repeat-changes-ambient": (
+            (Repeat((Interface(VACUUM, dense),), 2),),
+            "repeated sub-stack must preserve the ambient medium",
+        ),
+        "unknown-element": ((Gap(0.1), "plate"), "unknown stack element 'plate'"),
+        "planes-on-two-lattices": ((square, Gap(0.5), triangular), two_lattices),
+        "repeat-plane-on-other-lattice": (
+            (square, Repeat((Gap(0.5), triangular), 2)), two_lattices
+        ),
     }
 
 
 class TestWalkChecks:
     @pytest.mark.parametrize("case", sorted(_bad_stacks()))
     def test_solve_stack_rejects(self, case):
-        desc = StackDescription(_bad_stacks()[case])
-        with pytest.raises(InvalidArgumentError):
-            solve_stack(desc, OM, 0.0, 0.0, "s")
+        # a bad stack never reaches a solve: building its description rejects it
+        elements, message = _bad_stacks()[case]
+        with pytest.raises(InvalidArgumentError) as exc:
+            StackDescription(elements)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("case", sorted(_bad_stacks()))
     def test_slice_smatrix_rejects(self, case):
-        with pytest.raises(InvalidArgumentError):
-            slice_smatrix(_bad_stacks()[case], VACUUM, OM, (0.0, 0.0), NumericalControls(lmax=2))
+        elements, message = _bad_stacks()[case]
+        with pytest.raises(InvalidArgumentError) as exc:
+            slice_smatrix(elements, VACUUM, OM, (0.0, 0.0), NumericalControls(lmax=2))
+        assert str(exc.value) == message
 
     def test_planes_on_two_lattices_named(self):
-        desc = StackDescription(_bad_stacks()["planes-on-two-lattices"])
+        elements, _ = _bad_stacks()["planes-on-two-lattices"]
         with pytest.raises(InvalidArgumentError) as exc:
-            solve_stack(desc, 2.0, math.radians(20.0), 0.0, "s")
+            StackDescription(elements)
         assert str(SQUARE) in str(exc.value) and str(TRIANGULAR) in str(exc.value)
+
+    def test_points_do_not_walk_again(self, monkeypatch):
+        desc = StackDescription((Interface(VACUUM, Material(4.0)), Repeat((Gap(0.2),), 2)))
+        walks = _record_calls(monkeypatch, stk, "walk_stack")
+        angular_map(desc, [OM, 1.2], [0.0, 0.3], NumericalControls(lmax=2))
+        assert walks == []
+
+    def test_interface_medium_sets_auto_cutoff(self):
+        # the host entered by an interface outside any Repeat counts toward the
+        # auto cutoff: with vacuum alone it fell below omega*sqrt(12) at omega 4
+        host = Material(12.0)
+        plane = PlaneOfSpheres(SQUARE, SphereScatterer(0.3, VACUUM, host))
+        desc = StackDescription(
+            (Interface(VACUUM, host), Gap(0.35), plane, Gap(0.35), Interface(host, VACUUM))
+        )
+        assert desc.walk.media == {1.0, 12.0}
+        for p in solve_stack_points(desc, 4.0, 0.0, 0.0, ("s", "p"), NumericalControls(lmax=3)):
+            assert abs(p.R + p.T - 1.0) < 1e-10
 
     def test_beam_lattice_must_match_planes(self):
         unit = (PlaneOfSpheres(SQUARE, _SPHERE),)
