@@ -25,7 +25,7 @@ from .layer import Plate
 from .mie import Material, SphereScatterer, mie_cross_sections, mie_t
 from .onedim import OneDimLayer, solve_onedim
 from .output import fmt9, write_band_svg, write_csv, write_heatmap_svg
-from .stack import Repeat, slice_smatrix
+from .stack import Repeat, slice_smatrix, walk_stack
 
 
 def _overridden(scene: sc.Scene, args) -> sc.Scene:
@@ -117,9 +117,10 @@ def cmd_band(scene: sc.Scene, out: Path, threads: int) -> list[Path]:
     om_disp, om_int, _, _ = _grid_points(scene)
     lat = scene.lattice()
     if controls.cutoff is None:
-        # pin the beam cutoff at the scan maximum so the Bloch eigenvector
-        # dimension is constant and branches can be continued by overlap
-        eps_max = max([1.0] + [abs(eps) for _, eps in scene.materials])
+        # pin the beam cutoff at the scan maximum, over the media of the unit
+        # slice as slice_smatrix sees them, so the Bloch eigenvector dimension
+        # is constant and branches can be continued by overlap
+        eps_max = max(abs(eps) for eps in walk_stack(unit, ambient).media)
         controls = dataclasses.replace(
             controls, cutoff=controls.resolved_cutoff(float(om_int[-1]), eps_max, 0.0)
         )
@@ -135,12 +136,7 @@ def cmd_band(scene: sc.Scene, out: Path, threads: int) -> list[Path]:
     rows = []
     prev = None
     for i, bp in enumerate(points):
-        if (
-            prev is not None
-            and prev.kz_list.size
-            and bp.kz_list.size
-            and prev.vectors.shape[0] == bp.vectors.shape[0]
-        ):
+        if prev is not None and prev.kz_list.size and bp.kz_list.size:
             perm = bd.overlap_permutation(prev, bp)
             bp = dataclasses.replace(bp, kz_list=bp.kz_list[perm], vectors=bp.vectors[:, perm])
         prev = bp

@@ -15,9 +15,10 @@ Conventions used throughout the package:
 * The angular-momentum coupling coefficients are computed in floating point
   in ``vswf``: the spin-1 Clebsch-Gordan coefficients from their closed forms
   (``vswf._CG1``), within 2.2e-16 of the exact Racah values for l <= 14, and
-  the Gaunt integrals of the lattice-sum recipe by Gauss-Legendre quadrature
-  over ``legendre_normalized`` (``vswf._scalar_contraction``), within 4e-14
-  of the exact values for lam <= 15.  The exact Racah formula in rational
+  the structure-constant recipe (``vswf._translation_recipe``), whose Gaunt
+  integrals are Gauss-Legendre sums over ``legendre_normalized`` taken
+  directly in the vector channels, within 2.6e-14 of the exact values for
+  lmax <= 9 and 2.4e-13 at lmax 14.  The exact Racah formula in integer
   arithmetic is the test suite's reference (``tests/oracles.py``).
 """
 

@@ -33,16 +33,6 @@ E_SPH = {
 }
 
 
-def spherical_components(v: np.ndarray) -> dict:
-    """Components v^q such that v = sum_q v^q e_q."""
-    vx, vy, vz = v
-    return {
-        +1: -(vx - 1j * vy) / math.sqrt(2.0),
-        0: vz,
-        -1: (vx + 1j * vy) / math.sqrt(2.0),
-    }
-
-
 def nlm(lmax: int) -> int:
     """Number of (l, m) channels with 1 <= l <= lmax."""
     return (lmax + 1) ** 2 - 1
@@ -100,19 +90,13 @@ def plane_wave_coeffs(lmax: int, ct, st, phi, evec) -> tuple[np.ndarray, np.ndar
 
 
 def incident_coeffs(lmax: int, yflat: np.ndarray, evec: np.ndarray) -> np.ndarray:
-    """(aM; aE) of plane_wave_coeffs for many directions and polarizations at once.
+    """evec . (_in_tensor(lmax) @ yflat): (aM; aE) of plane_wave_coeffs, batched.
 
     yflat = ylm_flat(lmax + 1, ct, st, phi) has shape D + (n_scalar,) over
     directions; evec has shape P + (3,) with P broadcastable against D.
     Returns shape broadcast(D, P) + (2 nlm,).
     """
-    lam_max = lmax + 1
-    lidx, midx = _scalar_index_arrays(lam_max)
-    # Ybar_lm = (-1)^m Y_{l,-m}, the analytic conjugate
-    ybar = (-1.0) ** midx * yflat[..., lidx * lidx + lidx - midx]
-    proj = _contract(ybar, _pw_matrices(lmax))
-    e = spherical_components(np.moveaxis(evec, -1, 0))
-    return sum(e[q][..., None] * proj[..., q + 1, :] for q in (-1, 0, 1))
+    return _project(_in_tensor(lmax), yflat, evec)
 
 
 def outgoing_coeffs(lmax: int, yflat: np.ndarray, evec: np.ndarray) -> np.ndarray:
@@ -125,14 +109,15 @@ def outgoing_coeffs(lmax: int, yflat: np.ndarray, evec: np.ndarray) -> np.ndarra
     lattice of multipoles (bM; bE) sends along the direction of yflat.
     Shapes as in incident_coeffs.
     """
-    return (evec[..., None, :] @ _contract(yflat, out_tensor(lmax)))[..., 0, :]
+    return _project(out_tensor(lmax), yflat, evec)
 
 
-def _contract(yflat: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """mats @ yflat over the trailing scalar axis, as one matrix product."""
-    ns = mats.shape[-1]
-    flat = yflat.reshape(-1, ns) @ mats.reshape(-1, ns).T
-    return flat.reshape(yflat.shape[:-1] + mats.shape[:-1])
+def _project(tensor: np.ndarray, yflat: np.ndarray, evec: np.ndarray) -> np.ndarray:
+    """evec . (tensor @ yflat), the scalar axis contracted as one matrix product."""
+    ns = tensor.shape[-1]
+    flat = yflat.reshape(-1, ns) @ tensor.reshape(-1, ns).T
+    t = flat.reshape(yflat.shape[:-1] + tensor.shape[:-1])
+    return (evec[..., None, :] @ t)[..., 0, :]
 
 
 # <j, m-q; 1, q | l, m> for j = l + dj, keyed (dj, q): the spin-1 table of
@@ -191,89 +176,95 @@ def _ipow(lam: np.ndarray, base: complex) -> np.ndarray:
     return np.array([base**n for n in range(lam.max() + 1)])[lam]
 
 
-@lru_cache(maxsize=8)
-def _pw_matrices(lmax: int) -> np.ndarray:
-    """Per-component matrices P_q with (aM; aE) = sum_q e^q P_q Ybar.
+def _spherical_maps(lmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """(P, Q), each stacked (3, 2 nlm, n_scalar) with component q at q + 1.
 
-    The plane-wave expansion e^{iK.r} = 4 pi sum i^lam Ybar j_lam Y contracted
-    with the Clebsch-Gordan table; the electric rows already invert the 2x2
-    (N, grad) block, whose determinant is exactly i.  Stacked as
-    (3, 2 nlm, n_scalar), P_q at q + 1.
+    P_q: (aM; aE) = sum_q v^q P_q Ybar for a plane wave of polarization
+    v = sum_q v^q e_q, from e^{iK.r} = 4 pi sum i^lam Ybar j_lam Y and the
+    Clebsch-Gordan table; the electric rows already invert the 2x2 (N, grad)
+    block, whose determinant is exactly i.
+    Q_q: component q of the outgoing plane wave per unit multipole amplitude,
+    amplitude = c_pref * sum_q e_q (Q_q @ yflat) @ (bM; bE) (outgoing_coeffs).
     """
-    u, _, rec = _coupling(lmax)
+    u, emb, rec = _coupling(lmax)
     lam = _scalar_index_arrays(lmax + 1)[0]
-    return rec * 4.0 * math.pi * _ipow(lam, 1j) * u
+    return rec * 4.0 * math.pi * _ipow(lam, 1j) * u, _ipow(lam, -1j) * emb * u
+
+
+def _cartesian(t: np.ndarray, vectors: dict) -> np.ndarray:
+    """sum_q vectors[q] (x) t[q + 1]: spherical components on cartesian axes."""
+    return sum(np.multiply.outer(vectors[q], t[q + 1]) for q in (-1, 0, 1))
 
 
 @lru_cache(maxsize=8)
-def out_tensor(lmax: int):
+def _in_tensor(lmax: int) -> np.ndarray:
+    """Cartesian form of P: (aM; aE) = evec . (_in_tensor @ yflat).
+
+    v^q = conj(e_q) . v, and Ybar_lm = (-1)^m Y_{l,-m} folds into the columns.
+    """
+    lidx, midx = _scalar_index_arrays(lmax + 1)
+    p = (-1.0) ** midx * _spherical_maps(lmax)[0][..., lidx * lidx + lidx - midx]
+    return _cartesian(p, {q: e.conj() for q, e in E_SPH.items()})
+
+
+@lru_cache(maxsize=8)
+def out_tensor(lmax: int) -> np.ndarray:
     """Cartesian plane-wave amplitude per unit multipole amplitude.
 
     Q[axis, channel, scalar] with amplitude = c_pref * (Q @ yflat) @ (bM; bE),
     where yflat = ylm_flat(lmax + 1, ...) for the outgoing direction.
     """
-    u, emb, _ = _coupling(lmax)
-    lam = _scalar_index_arrays(lmax + 1)[0]
-    t = _ipow(lam, -1j) * emb * u
-    q3 = np.zeros((3,) + t.shape[1:], dtype=complex)
-    for q in (-1, 0, 1):
-        q3 += np.multiply.outer(E_SPH[q], t[q + 1])
-    return q3
+    return _cartesian(_spherical_maps(lmax)[1], E_SPH)
 
 
 @lru_cache(maxsize=8)
-def _scalar_contraction(lam_max: int):
-    """Sparse recipe turning lattice sums S_{p,sigma} into Omega_scalar.
+def _translation_recipe(lmax: int):
+    """Sparse recipe turning in-plane lattice sums S_{p,sigma} into W.
 
-    Omega[(lam,nu),(lam',nu')] = 4 pi sum_p i^{lam+p-lam'} (-1)^p
-                                 G(lam,nu; p,nu'-nu; lam',nu') S_{p,nu'-nu}
-    with the Gaunt integral G = int Y_{lam nu} Y_{p sigma} conj(Y_{lam' nu'})
-    = 2 pi sum_i w_i Y_{lam nu} Y_{p sigma} Y_{lam' nu'} at (theta_i, 0): the
-    integrand is a polynomial of degree lam + p + lam' <= 4 lam_max in
-    cos(theta), which the Gauss-Legendre rule of 2 lam_max + 1 nodes
-    integrates exactly.  Terms outside the selection rules are not formed,
-    and within them |G| <= 1e-12 is an exact zero: quadrature leaves those
-    below 1e-14, while the smallest nonzero G up to lam_max 15 is 1.5e-9.
+    W = sum_q (rec u_q) Omega (emb u_q)^T (_coupling) lifts the scalar
+    translation Omega[(lam,nu),(lam',nu')] = 4 pi sum_p i^{lam+p-lam'} (-1)^p
+    G S_{p,nu'-nu}, with the Gaunt integral G = int Y_{lam nu} Y_{p sigma}
+    conj(Y_{lam' nu'}) = 2 pi sum_i w_i Y_{lam nu} Y_{p sigma} Y_{lam' nu'} at
+    (theta_i, 0).  P and Q of _spherical_maps carry the 4 pi i^lam and the
+    (-i)^lam', so summing over the scalar channels first, entry (a, b) takes
+    sigma = m_b - m_a and
 
-    Returns (keys, flat, coefs, key): term t adds the real coefs[t] times
-    the sum keys[key[t]] = (p, sigma) at the flat index flat[t] of the
-    (n_scalar x n_scalar) matrix.  Keys run over p, then sigma, ascending;
-    the terms of a key are in ascending flat index.
+        coefficient of S_{p,sigma} = 2 pi (-i)^p sum_i w_i Y_{p sigma}(theta_i)
+                                     sum_q (P_q Y)[i, a] (Q_q Y)[i, b],
+
+    Y = Y(theta_i, 0).  The integrand is a polynomial of degree <= 4 lmax + 4
+    in cos(theta), which Gauss-Legendre with 2 lmax + 3 nodes integrates
+    exactly.  p + sigma odd is left out: the in-plane sums vanish there.
+    |coefficient| <= 1e-12 is an exact zero: against the exact two-stage form
+    (tests/oracles.py), the terms quadrature leaves at exact zeros stay below
+    2.2e-14 at lmax 7 and 2.1e-13 at lmax 14, while the smallest kept term is
+    4.4e-4 at lmax 7 and 6.7e-8 at lmax 14.
+
+    Returns (keys, flat, coefs, key): term t adds coefs[t] times the sum
+    keys[key[t]] = (p, sigma) at the flat index flat[t] of W.  Keys run over
+    sigma, then p, ascending; the terms of a key are in ascending flat index.
     """
-    pmax = 2 * lam_max
+    pmax = 2 * lmax + 2
     x, wts = np.polynomial.legendre.leggauss(pmax + 1)
     y = ylm_flat(pmax, x, np.sqrt(1.0 - x * x), 0.0).real
-    ns = n_scalar(lam_max)
-    lam, nu = _scalar_index_arrays(lam_max)
-    lsum, ldiff, sigma = lam[:, None] + lam, abs(lam[:, None] - lam), nu - nu[:, None]
-    yl = y[:, :ns]
+    ns = n_scalar(lmax + 1)
+    # [q + 1, node, channel]
+    r, e = (y[:, :ns] @ t.transpose(0, 2, 1) for t in _spherical_maps(lmax))
+    m = np.array([mu for _, mu in lm_list(lmax)] * 2)
     keys, flat, coefs = [], [], []
-    for p in range(pmax + 1):
-        allowed = (ldiff <= p) & (p <= lsum) & ((lsum + p) % 2 == 0)
-        # p + sigma odd is left out: the in-plane lattice sums vanish there
-        for s in range(-p, p + 1, 2):
-            g = 2.0 * math.pi * (yl.T * (wts * y[:, sidx(p, s)])) @ yl
-            at = np.flatnonzero(allowed & (sigma == s) & (np.abs(g) > 1e-12))
+    for s in range(-2 * lmax, 2 * lmax + 1):
+        a, b = np.nonzero(m[None, :] - m[:, None] == s)
+        ps = np.arange(abs(s), pmax + 1, 2)
+        wy = wts[:, None] * y[:, sidx(ps, s)] * (2.0 * math.pi * _ipow(ps, -1j))
+        c = wy.T @ sum(r[q][:, a] * e[q][:, b] for q in range(3))
+        for p, row in zip(ps.tolist(), c):
+            at = np.flatnonzero(np.abs(row) > 1e-12)
             if at.size:
-                # i^{lam+p-lam'} (-1)^p with lam + p - lam' even
-                half = (lam[at // ns] - lam[at % ns] + 3 * p) // 2
                 keys.append((p, s))
-                flat.append(at)
-                coefs.append(4.0 * math.pi * (1 - 2 * (half % 2)) * g.ravel()[at])
-    key = np.repeat(np.arange(len(keys)), [a.size for a in flat])
+                flat.append(a[at] * m.size + b[at])
+                coefs.append(row[at])
+    key = np.repeat(np.arange(len(keys)), [f.size for f in flat])
     return keys, np.concatenate(flat), np.concatenate(coefs), key
-
-
-@lru_cache(maxsize=8)
-def _vector_maps(lmax: int):
-    """Embed/reconstruct maps between VSWF channels and scalar channels.
-
-    embed[q + 1]: (n_scalar x 2 nlm) embedding of outgoing VSWFs into scalar
-    channels; recon[q + 1]: reconstruction of regular VSWF amplitudes.
-    """
-    u, emb, rec = _coupling(lmax)
-    embed = np.ascontiguousarray((emb * u).transpose(0, 2, 1))
-    return embed, rec * u
 
 
 def translation_matrix(lmax: int, s_table: dict) -> np.ndarray:
@@ -284,17 +275,11 @@ def translation_matrix(lmax: int, s_table: dict) -> np.ndarray:
     lattice site to the regular incident expansion at the origin site.
     s_table maps (p, sigma) -> sum_{R != 0} e^{i kpar.R} h_p(k R) Y_{p,sigma}(Rhat).
     """
-    keys, flat, coefs, key = _scalar_contraction(lmax + 1)
+    keys, flat, coefs, key = _translation_recipe(lmax)
     terms = coefs * np.array([s_table.get(k, 0.0) for k in keys], dtype=complex)[key]
-    ns = n_scalar(lmax + 1)
-    # the scalar Omega; bincount adds the terms of an entry in their order
-    omega = np.empty(ns * ns, dtype=complex)
-    omega.real = np.bincount(flat, terms.real, ns * ns)
-    omega.imag = np.bincount(flat, terms.imag, ns * ns)
-    omega = omega.reshape(ns, ns)
-    embed, recon = _vector_maps(lmax)
-    nv2 = 2 * nlm(lmax)
-    w = np.zeros((nv2, nv2), dtype=complex)
-    for q in range(3):
-        w += recon[q] @ omega @ embed[q]
-    return w
+    n = (2 * nlm(lmax)) ** 2
+    # bincount adds the terms of an entry in their order
+    w = np.empty(n, dtype=complex)
+    w.real = np.bincount(flat, terms.real, n)
+    w.imag = np.bincount(flat, terms.imag, n)
+    return w.reshape(2 * nlm(lmax), -1)

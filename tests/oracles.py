@@ -3,26 +3,28 @@
 Everything here deliberately avoids the package's own special-function and
 summation code: radial functions come from mpmath (half-integer Bessel),
 spherical harmonics from scipy.special, coupling coefficients from the exact
-Racah formula in rational arithmetic, and the Mie channels from a direct
-boundary-condition solve instead of the ratio formulas.  The exceptions are
-at the end of the file: ``sph_neumann`` combines the package's h and j so a
-Wronskian can test them, and ``assoc_legendre`` is a plain recursion whose
-tests pin it against an explicit polynomial expansion.
+Racah formula in integer arithmetic, and the Mie channels from a direct
+boundary-condition solve instead of the ratio formulas.  The exceptions: the
+two-stage translation reference lifts exact Gaunt integrals with
+``vswf._coupling``'s radial factors (1 and i sqrt(l/(2l+1)) or
+i sqrt((l+1)/(2l+1))), and at the end of the file ``sph_neumann`` combines
+the package's h and j so a Wronskian can test them, and ``assoc_legendre`` is
+a plain recursion whose tests pin it against an explicit polynomial
+expansion.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
-from scipy.special import roots_legendre
 
 from pcfilm.errors import InvalidArgumentError
 from pcfilm.specfun import sph_bessel, sph_hankel1
+from pcfilm.vswf import _coupling, lm_index, lm_list, n_scalar, nlm, sidx
 
 try:
     from scipy.special import sph_harm_y as _sph_harm_y
@@ -113,54 +115,38 @@ def mie_efficiencies(radius: float, eps_in: complex, eps_host: float, omega: flo
     return q_ext, q_sca
 
 
-def gaunt_quadrature(l1, m1, l2, m2, l3, m3, n=40) -> float:
-    """int Y_{l1 m1} Y_{l2 m2} conj(Y_{l3 m3}) dOmega by Gauss-Legendre."""
-    xs, ws = roots_legendre(n)
-    theta = np.arccos(xs)
-    total = 0.0 + 0.0j
-    if m3 != m1 + m2:
-        return 0.0
-    # the azimuthal integral is 2 pi when m1 + m2 - m3 = 0
-    y1 = _ylm(m1, l1, 0.0, theta)
-    y2 = _ylm(m2, l2, 0.0, theta)
-    y3 = np.conj(_ylm(m3, l3, 0.0, theta))
-    total = 2.0 * math.pi * np.sum(ws * y1 * y2 * y3)
-    return float(total.real)
-
-
 @lru_cache(maxsize=None)
 def wigner3j(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int) -> float:
-    """Exact Wigner 3j symbol via the Racah formula in rational arithmetic."""
+    """Exact Wigner 3j symbol via the Racah formula, rounded once.
+
+    The Racah sum sum_k (-1)^k / [k! (a-k)! (b-k)! (c-k)! (j3-j2+m1+k)!
+    (j3-j1-m2+k)!], a = j1+j2-j3, b = j1-m1, c = j2+m2, is the integer
+    sum_k (-1)^k C(a, k) C(j3+m3, b-k) C(j3-m3, c-k) over a! (j3+m3)! (j3-m3)!;
+    Python's int / int rounds each ratio correctly.
+    """
     if m1 + m2 + m3 != 0:
         return 0.0
     if j3 < abs(j1 - j2) or j3 > j1 + j2:
         return 0.0
     if abs(m1) > j1 or abs(m2) > j2 or abs(m3) > j3:
         return 0.0
+    if m1 < 0 or (m1 == 0 and m2 < 0):
+        return (-1) ** (j1 + j2 + j3) * wigner3j(j1, j2, j3, -m1, -m2, -m3)
     f = math.factorial
-    delta = Fraction(
-        f(j1 + j2 - j3) * f(j1 - j2 + j3) * f(-j1 + j2 + j3), f(j1 + j2 + j3 + 1)
-    )
-    norm = delta * (
-        f(j1 + m1) * f(j1 - m1) * f(j2 + m2) * f(j2 - m2) * f(j3 + m3) * f(j3 - m3)
-    )
+    a, b, c = j1 + j2 - j3, j1 - m1, j2 + m2
     kmin = max(0, j2 - j3 - m1, j1 - j3 + m2)
-    kmax = min(j1 + j2 - j3, j1 - m1, j2 + m2)
-    total = Fraction(0)
-    for k in range(kmin, kmax + 1):
-        den = (
-            f(k)
-            * f(j1 + j2 - j3 - k)
-            * f(j1 - m1 - k)
-            * f(j2 + m2 - k)
-            * f(j3 - j2 + m1 + k)
-            * f(j3 - j1 - m2 + k)
-        )
-        total += Fraction((-1) ** k, den)
+    total = sum(
+        (-1) ** k * math.comb(a, k) * math.comb(j3 + m3, b - k) * math.comb(j3 - m3, c - k)
+        for k in range(kmin, min(a, b, c) + 1)
+    )
     if total == 0:
         return 0.0
+    norm = (
+        f(a) * f(j1 - j2 + j3) * f(-j1 + j2 + j3)
+        * f(j1 + m1) * f(j1 - m1) * f(j2 + m2) * f(j2 - m2) * f(j3 + m3) * f(j3 - m3)
+    ) / f(j1 + j2 + j3 + 1)
     sign = (-1) ** (j1 - j2 - m3)
-    return sign * float(total) * math.sqrt(float(norm))
+    return sign * (total / (f(a) * f(j3 + m3) * f(j3 - m3))) * math.sqrt(norm)
 
 
 def clebsch_gordan(j1: int, m1: int, j2: int, m2: int, J: int, M: int) -> float:
@@ -178,6 +164,106 @@ def gaunt_exact(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> float:
     """
     pref = math.sqrt((2 * l1 + 1) * (2 * l2 + 1) * (2 * l3 + 1) / (4.0 * math.pi))
     return (-1) ** m3 * pref * wigner3j(l1, l2, l3, 0, 0, 0) * wigner3j(l1, l2, l3, m1, m2, -m3)
+
+
+@lru_cache(maxsize=None)
+def exact_cg_table(lmax: int) -> np.ndarray:
+    """U[q + 1, channel, scalar] = <j, m-q; 1, q | l, m>, j = l, l +- 1, from the exact 3j.
+
+    The layout of ``vswf._coupling``'s table: the magnetic and the electric
+    row of every (l, m), over the scalar channels sidx(j, m - q).
+    """
+    nv = nlm(lmax)
+    u = np.zeros((3, 2 * nv, n_scalar(lmax + 1)))
+    for l in range(1, lmax + 1):
+        for m in range(-l, l + 1):
+            for q in (-1, 0, 1):
+                for j in (l - 1, l, l + 1):
+                    if abs(m - q) <= j:
+                        cg = clebsch_gordan(j, m - q, 1, q, l, m)
+                        u[q + 1, [lm_index(l, m), nv + lm_index(l, m)], sidx(j, m - q)] = cg
+    return u
+
+
+@lru_cache(maxsize=None)
+def exact_scalar_recipe(lam_max: int) -> dict:
+    """The scalar translation of in-plane lattice sums from exact Gaunt integrals.
+
+    Omega[(lam,nu),(lam',nu')] = 4 pi sum_p i^{lam+p-lam'} (-1)^p
+    G(lam,nu; p,sigma; lam',nu') S_{p,sigma}, sigma = nu' - nu, as
+    {(p, sigma): (rows, cols, coefs)} over the sidx channels: every term the
+    selection rules allow with p + sigma even (the in-plane sums vanish at
+    p + sigma odd) and G nonzero.
+    """
+    terms = {}
+    for lam in range(lam_max + 1):
+        for nu in range(-lam, lam + 1):
+            for lamp in range(lam_max + 1):
+                for nup in range(-lamp, lamp + 1):
+                    sigma = nup - nu
+                    # G vanishes at lam + p + lam' odd
+                    for p in range(abs(lam - lamp), lam + lamp + 1, 2):
+                        if abs(sigma) > p or (p + sigma) % 2:
+                            continue
+                        g = gaunt_exact(lam, nu, p, sigma, lamp, nup)
+                        if g != 0.0:
+                            coef = 4.0 * math.pi * (1j) ** (lam + p - lamp) * (-1) ** p * g
+                            term = (sidx(lam, nu), sidx(lamp, nup), coef)
+                            terms.setdefault((p, sigma), []).append(term)
+    return {key: tuple(np.array(col) for col in zip(*t)) for key, t in terms.items()}
+
+
+def _exact_lift(lmax: int, omega: np.ndarray) -> np.ndarray:
+    """sum_q (rec u_q) omega (emb u_q)^T: a scalar translation in the vector channels.
+
+    The Clebsch-Gordan table is the exact one; the radial mixing factors
+    (rec, emb) are ``vswf._coupling``'s, which hold only 1 and i sqrt(l/(2l+1))
+    or i sqrt((l+1)/(2l+1)) (the pinned decompositions of ``vswf``).
+    """
+    u = exact_cg_table(lmax)
+    _, emb, rec = _coupling(lmax)
+    return sum((rec * u[q]) @ omega @ (emb * u[q]).T for q in range(3))
+
+
+def exact_translation_matrix(lmax: int, s_table: dict) -> np.ndarray:
+    """W of ``vswf.translation_matrix`` in the two-stage form: a dense scalar
+    translation from exact Gaunt integrals, lifted by three dense products."""
+    ns = n_scalar(lmax + 1)
+    omega = np.zeros((ns, ns), dtype=complex)
+    for key, (rows, cols, coefs) in exact_scalar_recipe(lmax + 1).items():
+        omega[rows, cols] += coefs * s_table.get(key, 0.0)
+    return _exact_lift(lmax, omega)
+
+
+@lru_cache(maxsize=None)
+def exact_translation_recipe(lmax: int) -> dict:
+    """{(a, b, p): coefficient of S_{p, m_b - m_a} in W[a, b]} from the two-stage form.
+
+    The sigma of one p are lifted together, which keeps them apart: entry
+    (a, b) receives only sigma = m_b - m_a.  Lifts that cancel exactly (p
+    above l_a + l_b, for one) leave rounding of the exact values, far below
+    1e-12, which counts as zero.
+    """
+    ns = n_scalar(lmax + 1)
+    omegas = {}
+    for (p, _), (rows, cols, coefs) in exact_scalar_recipe(lmax + 1).items():
+        omegas.setdefault(p, np.zeros((ns, ns), dtype=complex))[rows, cols] = coefs
+    out = {}
+    for p, omega in omegas.items():
+        w = _exact_lift(lmax, omega)
+        for a, b in zip(*np.nonzero(np.abs(w) > 1e-12)):
+            out[int(a), int(b), p] = complex(w[a, b])
+    return out
+
+
+def exact_translation_term(lmax: int, a: int, b: int, p: int) -> complex:
+    """One coefficient of exact_translation_recipe, lifted entry by entry."""
+    m = [mm for _, mm in lm_list(lmax)] * 2
+    rows, cols, coefs = exact_scalar_recipe(lmax + 1).get((p, m[b] - m[a]), ((), (), ()))
+    u = exact_cg_table(lmax)
+    _, emb, rec = _coupling(lmax)
+    r, e = rec[a] * u[:, a], emb[b] * u[:, b]
+    return complex(sum(np.sum(r[q, rows] * coefs * e[q, cols]) for q in range(3)))
 
 
 def h1_closed(pmax: int, z: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ import pytest
 import pcfilm.scenes as sc
 from pcfilm.cli import main
 from pcfilm.errors import ConfigError
+from pcfilm.stack import NumericalControls, slice_smatrix
 
 GOOD = """[materials]
 m1 = 2.6
@@ -386,6 +387,24 @@ class TestCli:
         assert main(["band", "--config", cfg, "--out", str(out)]) == 0
         assert (out / "band.csv").exists()
         assert (out / "band.svg").exists()
+
+    def test_band_cutoff_from_unit_media(self, tmp_path, monkeypatch):
+        # the auto cutoff is pinned from the media of the unit slice (largest
+        # eps 2.6), not from the exit substrate |12 + 7i| it never contains
+        scene = sc.preset("paper-fig3")
+        lo, hi, _ = scene.omega_sweep
+        scene = dataclasses.replace(scene, omega_sweep=(lo, hi, 3))
+        seen = []
+
+        def spy(unit, ambient, omega, kpar, controls, lat):
+            seen.append(controls.cutoff)
+            return slice_smatrix(unit, ambient, omega, kpar, controls, lat)
+
+        monkeypatch.setattr("pcfilm.cli.slice_smatrix", spy)
+        cfg = self._write(tmp_path, scene)
+        assert main(["band", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+        omega_max = float(scene.omega_internal(hi))
+        assert seen == [NumericalControls().resolved_cutoff(omega_max, 2.6, 0.0)] * 3
 
     def test_mie_output(self, tmp_path):
         cfg = self._write(tmp_path, sc.preset("paper-fig4"))

@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 
 from oracles import (
     assoc_legendre,
-    clebsch_gordan,
-    gaunt_exact,
-    gaunt_quadrature,
+    exact_cg_table,
+    exact_translation_matrix,
+    exact_translation_recipe,
+    exact_translation_term,
+    lattice_sum_keys,
     mp_sph_h1,
     mp_sph_jn,
     mp_sph_yn,
@@ -24,7 +26,15 @@ from oracles import (
 )
 from pcfilm.errors import InvalidArgumentError, SingularArgumentError
 from pcfilm.specfun import LMAX_CAP, sph_bessel, sph_hankel1, zl_derivative
-from pcfilm.vswf import _coupling, _scalar_contraction, lm_index, n_scalar, sidx, ylm_flat
+from pcfilm.vswf import (
+    _coupling,
+    _translation_recipe,
+    lm_list,
+    nlm,
+    sidx,
+    translation_matrix,
+    ylm_flat,
+)
 
 
 class TestSphBessel:
@@ -254,128 +264,91 @@ def _ylm_loop(lmax, ct, st, phi):
 
 
 @lru_cache(maxsize=None)
-def _recipe(lam_max):
-    """{(lam, nu, p, lam', nu'): coef} of the in-plane lattice-sum recipe."""
-    keys, flat, coefs, key = _scalar_contraction(lam_max)
-    ns = n_scalar(lam_max)
-    lm = [(lam, nu) for lam in range(lam_max + 1) for nu in range(-lam, lam + 1)]
-    return {
-        lm[f // ns] + (keys[k][0],) + lm[f % ns]: c for f, c, k in zip(flat.tolist(), coefs, key)
-    }
+def _terms(lmax):
+    """{(a, b, p): coefficient} of vswf._translation_recipe."""
+    keys, flat, coefs, key = _translation_recipe(lmax)
+    nv2 = 2 * nlm(lmax)
+    p = np.array([k[0] for k in keys])[key]
+    return {(f // nv2, f % nv2, q): c for f, q, c in zip(flat.tolist(), p.tolist(), coefs)}
 
 
-def _gaunt_from_coef(coef, lam, p, lamp):
-    """G from the recipe coefficient 4 pi i^(lam+p-lam') (-1)^p G."""
-    return coef / (4.0 * math.pi * (1j) ** (lam + p - lamp) * (-1) ** p)
+def _random_sums(lmax, mirror, seed):
+    """Random complex S_{p,sigma} for p + sigma even.
 
-
-def _exact_recipe(lam_max):
-    """The recipe's terms from exact Gaunt integrals: every term the selection
-    rules allow (p + sigma even for in-plane sums) whose value is nonzero."""
-    out = {}
-    for lam in range(lam_max + 1):
-        for nu in range(-lam, lam + 1):
-            for lamp in range(lam_max + 1):
-                for nup in range(-lamp, lamp + 1):
-                    for p in range(abs(lam - lamp), lam + lamp + 1, 2):
-                        sigma = nup - nu
-                        if abs(sigma) > p or (p + sigma) % 2:
-                            continue
-                        g = gaunt_exact(lam, nu, p, sigma, lamp, nup)
-                        if g != 0.0:
-                            coef = 4.0 * math.pi * (1j) ** (lam + p - lamp) * (-1) ** p * g
-                            out[lam, nu, p, lamp, nup] = coef
-    return out
+    On the mirror S_{p,-sigma} = (-1)^sigma S_{p,sigma}, as for kpar on the x axis.
+    """
+    rng = np.random.default_rng(seed)
+    keys = lattice_sum_keys(2 * lmax + 2)
+    sums = dict(zip(keys, rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))))
+    if mirror:
+        sums.update({(p, -s): (-1) ** s * sums[p, s] for p, s in keys if s > 0})
+    return sums
 
 
 class TestGaunt:
-    """The Gaunt recipe of the lattice sums (vswf._scalar_contraction), by quadrature."""
+    """The Gaunt recipe of the structure constants (vswf._translation_recipe), by quadrature."""
 
     def test_y00_normalization(self):
-        # G(00; 00; 00) = 1 / sqrt(4 pi)
-        coef = _recipe(1)[0, 0, 0, 0, 0]
-        assert coef == pytest.approx(math.sqrt(4.0 * math.pi), abs=1e-14)
+        # S_00 enters as 4 pi G(lam nu; 00; lam nu) = sqrt(4 pi) on the scalar
+        # diagonal, which the unitary lift keeps: sqrt(4 pi) times the identity
+        nv2 = 2 * nlm(3)
+        s00 = {(a, b): c for (a, b, p), c in _terms(3).items() if p == 0}
+        assert sorted(s00) == [(a, a) for a in range(nv2)]
+        assert max(abs(c - math.sqrt(4.0 * math.pi)) for c in s00.values()) <= 1e-14
 
     def test_m_selection_rule(self):
-        # every term adds S_{p, nu' - nu} at (lam, nu), (lam', nu')
-        keys, flat, _, key = _scalar_contraction(6)
-        ns = n_scalar(6)
-        nu = np.array([n for lam in range(7) for n in range(-lam, lam + 1)])
-        sigma = np.array([k[1] for k in keys])[key]
-        assert np.array_equal(sigma, nu[flat % ns] - nu[flat // ns])
-
-    def test_vs_quadrature_oracle(self):
-        coef = _recipe(3)[2, 1, 1, 3, 2]
-        ref = gaunt_quadrature(2, 1, 1, 1, 3, 2)
-        assert _gaunt_from_coef(coef, 2, 1, 3) == pytest.approx(ref, abs=1e-12)
-
-    @given(
-        l1=st.integers(0, 4),
-        l2=st.integers(0, 4),
-        l3=st.integers(0, 6),
-        m1=st.integers(-4, 4),
-        m2=st.integers(-4, 4),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_exchange_symmetry_and_quadrature(self, l1, l2, l3, m1, m2):
-        # the lam and p slots exchange when both lattice sums are in-plane
-        if abs(m1) > l1 or abs(m2) > l2 or abs(m1 + m2) > l3 or (l1 + m1) % 2 or (l2 + m2) % 2:
-            return
-        m3 = m1 + m2
-        ref = gaunt_quadrature(l1, m1, l2, m2, l3, m3)
-        a = _recipe(6).get((l1, m1, l2, l3, m3))
-        b = _recipe(6).get((l2, m2, l1, l3, m3))
-        if abs(ref) < 1e-12:
-            assert a is None and b is None
-            return
-        assert _gaunt_from_coef(a, l1, l2, l3) == pytest.approx(ref, abs=1e-12)
-        assert _gaunt_from_coef(b, l2, l1, l3) == pytest.approx(ref, abs=1e-12)
+        # every term adds S_{p, m_b - m_a} at (a, b), and only with p + sigma even
+        keys, flat, _, key = _translation_recipe(6)
+        m = np.array([mm for _, mm in lm_list(6)] * 2)
+        p, sigma = np.array(keys).T[:, key]
+        assert np.array_equal(sigma, m[flat % m.size] - m[flat // m.size])
+        assert np.all((p + sigma) % 2 == 0) and np.all(np.abs(sigma) <= p)
 
     def test_selection_rule_violations_exact_zero(self):
-        terms = _recipe(6)
-        assert all(abs(lam - lamp) <= p <= lam + lamp for lam, _, p, lamp, _ in terms)
-        assert all((lam + p + lamp) % 2 == 0 for lam, _, p, lamp, _ in terms)
-        # triangle and parity violations
-        assert (0, 0, 2, 0, 0) not in terms
-        assert (1, 0, 1, 1, 0) not in terms
+        # vector channels couple through |l_a - l_b| <= p <= l_a + l_b, with
+        # l_a + l_b + p even within the magnetic and electric blocks and odd
+        # across them; p = 2 lmax + 1 and 2 lmax + 2 cancel in the lift
+        lmax = 6
+        nv = nlm(lmax)
+        l = [ll for ll, _ in lm_list(lmax)] * 2
+        for a, b, p in _terms(lmax):
+            assert abs(l[a] - l[b]) <= p <= l[a] + l[b]
+            assert (l[a] + l[b] + p + (a < nv) + (b < nv)) % 2 == 0
 
-    @pytest.mark.parametrize("lam_max", range(1, 10))
-    def test_terms_match_exact_recipe(self, lam_max):
-        got, want = _recipe(lam_max), _exact_recipe(lam_max)
-        # the same terms, accidental zeros of the 3j symbols left out too
+    @pytest.mark.parametrize("lmax", range(1, 10))
+    def test_terms_match_exact_recipe(self, lmax):
+        got, want = _terms(lmax), exact_translation_recipe(lmax)
+        # the same terms, exact zeros left out
         assert got.keys() == want.keys()
-        assert max(abs(got[t] - want[t]) for t in want) <= 1e-12
+        assert max(abs(got[t] - want[t]) for t in want) <= 1e-13
 
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
-    def test_sampled_terms_vs_exact_past_cap(self, data):
-        lam_max = LMAX_CAP + 1
-        lam = data.draw(st.integers(0, lam_max))
-        lamp = data.draw(st.integers(0, lam_max))
-        nu = data.draw(st.integers(-lam, lam))
-        nup = data.draw(st.integers(-lamp, lamp))
-        sigma = nup - nu
-        p = data.draw(st.integers(max(abs(lam - lamp), abs(sigma)), lam + lamp))
-        g = gaunt_exact(lam, nu, p, sigma, lamp, nup)
-        coef = _recipe(lam_max).get((lam, nu, p, lamp, nup))
-        if g == 0.0 or (p + sigma) % 2:
-            assert coef is None
-        else:
-            want = 4.0 * math.pi * (1j) ** (lam + p - lamp) * (-1) ** p * g
-            assert abs(coef - want) <= 1e-12
+    def test_sampled_terms_vs_exact_at_cap(self, data):
+        lmax = LMAX_CAP
+        keys, flat, coefs, key = _translation_recipe(lmax)
+        nv2 = 2 * nlm(lmax)
+        a = data.draw(st.integers(0, nv2 - 1))
+        b = data.draw(st.integers(0, nv2 - 1))
+        p = data.draw(st.integers(0, 2 * lmax + 2))
+        want = exact_translation_term(lmax, a, b, p)
+        at = flat == a * nv2 + b
+        got = [c for k, c in zip(key[at], coefs[at]) if keys[k][0] == p]
+        # exact zeros lift to rounding of the exact values; over the whole
+        # table the kept coefficients are within 2.4e-13 of the exact ones
+        assert len(got) == (abs(want) > 1e-12)
+        assert abs(sum(got) - want) <= 1e-12
+
+    @pytest.mark.parametrize("mirror", [True, False], ids=["mirror", "off-mirror"])
+    @pytest.mark.parametrize("lmax", [1, 7, LMAX_CAP])
+    def test_translation_matrix_vs_exact(self, lmax, mirror):
+        sums = _random_sums(lmax, mirror, seed=lmax)
+        got = translation_matrix(lmax, sums)
+        want = exact_translation_matrix(lmax, sums)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestClebschGordan:
     def test_closed_forms_vs_oracle(self):
-        u = _coupling(LMAX_CAP)[0]
-        want = np.zeros_like(u)
-        nv = u.shape[1] // 2
-        for l in range(1, LMAX_CAP + 1):
-            for m in range(-l, l + 1):
-                for q in (-1, 0, 1):
-                    for j in (l - 1, l, l + 1):
-                        if abs(m - q) <= j:
-                            cg = clebsch_gordan(j, m - q, 1, q, l, m)
-                            # the magnetic and the electric row of (l, m)
-                            want[q + 1, [lm_index(l, m), nv + lm_index(l, m)], sidx(j, m - q)] = cg
-        assert np.max(np.abs(u - want)) <= 1e-15
+        # every entry of the table, the structural zeros included
+        assert np.max(np.abs(_coupling(LMAX_CAP)[0] - exact_cg_table(LMAX_CAP))) <= 1e-15

@@ -7,18 +7,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from pcfilm.specfun import sph_bessel
 from pcfilm.vswf import (
-    E_SPH,
     lm_index,
     lm_list,
     nlm,
     plane_wave_coeffs,
     sidx,
-    spherical_components,
     ylm_flat,
 )
 
@@ -32,18 +28,6 @@ class TestIndexMaps:
     def test_roundtrip(self):
         for i, (l, m) in enumerate(lm_list(6)):
             assert lm_index(l, m) == i
-
-
-class TestSphericalComponents:
-    @given(
-        vals=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_roundtrip(self, vals):
-        v = np.array(vals[:3]) + 1j * np.array(vals[3:])
-        c = spherical_components(v)
-        rec = sum(c[q] * E_SPH[q] for q in (-1, 0, 1))
-        assert np.max(np.abs(rec - v)) < 1e-13
 
 
 class TestScalarExpansion:
