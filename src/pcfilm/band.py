@@ -6,7 +6,7 @@ tmm) is posed as the generalized eigenproblem
     [[tpp, rmp], [0, I]] v = lambda [[I, 0], [rpm, tmm]] v,   v = (a+_L, b-_R)
 
 which never inverts the (exponentially small in-gap) transmission blocks.
-Bloch wavevectors are kz = -i ln(lambda) / period with Re(kz) folded into
+Bloch wavevectors are kz = -i ln(lambda) / period with Re(kz) in
 (-pi/d, pi/d].
 """
 
@@ -82,12 +82,11 @@ def complex_bands(unit: LayerS, period: float, omega: float, kpar) -> BandPoint:
     for i, lam in enumerate(vals):
         if not np.isfinite(lam) or lam == 0:
             continue  # half of a fully evanescent pair; its partner is kept
+        # np.log takes the Bloch phase Re(kz) d in (-pi, pi]; a phase that
+        # rounding put within 1e-9 pi of -pi is the zone edge +pi
         kz = -1j * np.log(lam) / period
-        # fold the Bloch phase into (-pi/d, pi/d]
-        re = kz.real - 2 * math.pi / period * math.floor(
-            (kz.real + math.pi / period) / (2 * math.pi / period)
-        )
-        kz = re + 1j * kz.imag
+        if kz.real * period < (1e-9 - 1.0) * math.pi:
+            kz += 2 * math.pi / period
         if kz.imag > -PROP_TOL / period:
             keep.append((kz, i))
     keep.sort(key=lambda t: (round(t[0].imag, 9), round(t[0].real, 9)))

@@ -21,11 +21,10 @@ from .emissivity import (
     PLANCK_PEAK_X, POLS, GridPointError, angular_map, planck_b, planck_weight, run_grid,
 )
 from .errors import PcfilmError
-from .layer import Plate
 from .mie import Material, SphereScatterer, mie_cross_sections, mie_t
 from .onedim import OneDimLayer, solve_onedim
 from .output import fmt9, write_band_svg, write_csv, write_heatmap_svg
-from .stack import Repeat, slice_smatrix, walk_stack
+from .stack import Gap, Interface, Repeat, slice_smatrix, walk_stack
 
 
 def _overridden(scene: sc.Scene, args) -> sc.Scene:
@@ -187,23 +186,24 @@ def _lossless_variant(scene: sc.Scene) -> sc.Scene:
     return dataclasses.replace(scene, materials=mats, exit="vacuum", opaque="false")
 
 
-def _plate_layers(scene: sc.Scene):
-    desc = scene.build_stack()
+def _onedim_layers(desc) -> list:
+    """The OneDimLayers of a sphere-free stack: a gap is a layer of its ambient."""
     layers = []
 
-    def scan(elements):
+    def scan(elements, ambient):
         for el in elements:
             if isinstance(el, Repeat):
                 for _ in range(el.count):
-                    if not scan(el.elements):
-                        return False
-            elif isinstance(el, Plate):
-                layers.append(OneDimLayer(el.material.eps, el.thickness))
+                    scan(el.elements, ambient)
+            elif isinstance(el, Interface):
+                ambient = el.right
+            elif isinstance(el, Gap):
+                layers.append(OneDimLayer(ambient.eps, el.distance))
             else:
-                return False
-        return True
+                layers.append(OneDimLayer(el.material.eps, el.thickness))
 
-    return layers if scan(desc.elements) else None
+    scan(desc.elements, desc.incident)
+    return layers
 
 
 def run_validate(scene: sc.Scene):
@@ -225,11 +225,12 @@ def run_validate(scene: sc.Scene):
     th_pts = (0.0, math.radians(40.0))
     emap = _angular_map(_lossless_variant(scene), om_disp, th_pts)
     resid = float(np.max(np.abs(emap.R + emap.T - 1.0)))
-    layers = _plate_layers(scene)
-    checks.append(("energy-conservation", resid, 1e-10 if layers is not None else 1e-6))
+    desc = scene.build_stack()
+    spheres = desc.walk.plane is not None
+    checks.append(("energy-conservation", resid, 1e-6 if spheres else 1e-10))
 
-    if layers is not None:
-        desc = scene.build_stack()
+    if not spheres:
+        layers = _onedim_layers(desc)
         emap = _angular_map(scene, om_disp, th_pts)
         onedim = np.array([
             [
@@ -242,7 +243,7 @@ def run_validate(scene: sc.Scene):
         rta = np.stack([emap.R, emap.T, emap.A], axis=-1)
         checks.append(("dual-engine", float(np.max(np.abs(rta - onedim))), 1e-10))
     else:
-        sphere = _first_scatterer(scene)
+        sphere = desc.walk.plane.scatterer
         host = Material(complex(sphere.host.eps).real)
         inner = Material(complex(sphere.inside.eps).real)
         resid = 0.0

@@ -399,12 +399,13 @@ def structure_constants(lat: Lattice2D, omega: float, kpar, host: Material, lmax
 
     The (2 nlm) x (2 nlm) matrix over (M channels, E channels) x
     lm_list(lmax) maps outgoing multipole amplitudes on all other sites to
-    the regular expansion at the origin site.
+    the regular expansion at the origin site.  Two multipoles of order
+    l <= lmax couple through the sums of order p <= 2 lmax only.
     """
     if omega <= 0:
         raise InvalidArgumentError(f"omega must be > 0, got {omega}")
     if lmax < 1:
         raise InvalidArgumentError(f"lmax must be >= 1, got {lmax}")
     kf, _ = fold_to_zone(lat, kpar)
-    sums = lattice_sums_ewald(lat, host.wavenumber(omega), kf, 2 * lmax + 2)
+    sums = lattice_sums_ewald(lat, host.wavenumber(omega), kf, 2 * lmax)
     return vswf.translation_matrix(lmax, sums)

@@ -305,9 +305,8 @@ def _diagonal_smatrix(
     return LayerS(beams, mat_left, mat_right, tuple(diags))
 
 
-def identity_smatrix(beams: BeamSet, mat: Material | None = None) -> LayerS:
-    mat = beams.ambient if mat is None else mat
-    return _diagonal_smatrix(beams, mat, mat, 1.0, 0.0, 0.0, 1.0)
+def identity_smatrix(beams: BeamSet) -> LayerS:
+    return _diagonal_smatrix(beams, beams.ambient, beams.ambient, 1.0, 0.0, 0.0, 1.0)
 
 
 def beam_kz(beams: BeamSet, mat: Material) -> np.ndarray:
@@ -379,11 +378,15 @@ def sphere_plane_smatrix(plane: PlaneOfSpheres, beams: BeamSet, lmax: int) -> La
     b = (I - T Omega)^(-1) T a (T = Mie T-matrix, Omega = structure
     constants of the plane at the beams' omega and kpar); b is then
     converted to outgoing diffraction orders through the lattice-sum
-    plane-wave identity.  On a mirror beam set of the plane's own lattice
-    all of it runs in the two mirror sectors, with the plane-wave maps
-    computed for one beam of each mirror pair.  The in-plane offset enters
-    by displaced_smatrix.
+    plane-wave identity.  The beams must be on the plane's lattice and in
+    its host.  On a mirror beam set all of it runs in the two mirror
+    sectors, with the plane-wave maps computed for one beam of each mirror
+    pair.  The in-plane offset enters by displaced_smatrix.
     """
+    if beams.lattice != plane.lattice:
+        raise InvalidArgumentError(
+            f"beam lattice {beams.lattice} != sphere plane lattice {plane.lattice}"
+        )
     host = plane.scatterer.host
     if beams.ambient.eps != host.eps:
         raise InvalidArgumentError("beams must live in the sphere host medium")
@@ -394,7 +397,7 @@ def sphere_plane_smatrix(plane: PlaneOfSpheres, beams: BeamSet, lmax: int) -> La
     lidx = np.array([l for l, _ in vswf.lm_list(lmax)])
     tdiag = np.concatenate([t_m[lidx - 1], t_e[lidx - 1]])
     area = plane.lattice.area
-    sectors = beam_sectors(beams) if mirror_fixed(plane.lattice) else None
+    sectors = beam_sectors(beams)
     if sectors is None:
         tdiag, omega_mat = tdiag[None], omega_mat[None]
         maps = [x[None] for x in _beam_multipole_maps(beams, k, area, lmax)]
@@ -510,25 +513,22 @@ def gap_smatrix(distance: float, beams: BeamSet) -> LayerS:
     return _diagonal_smatrix(beams, beams.ambient, beams.ambient, phase, 0.0, 0.0, phase)
 
 
-def plate_smatrix(
-    plate: Plate, beams: BeamSet, ambient_left: Material, ambient_right: Material
-) -> LayerS:
-    """Closed-form Fabry-Perot S-matrix of a homogeneous plate.
+def plate_smatrix(plate: Plate, beams: BeamSet) -> LayerS:
+    """Closed-form Fabry-Perot S-matrix of a homogeneous plate in the beams' ambient.
 
-    Each medium's kz and its root are taken once.  Underflow-safe: an opaque
-    plate's interior phase factor flushes to exact zero, leaving the
+    The ambient is the same on both faces, so the back face is the front
+    face reversed and one _fresnel call serves both.  Underflow-safe: an
+    opaque plate's interior phase factor flushes to exact zero, leaving the
     front-interface reflection.
     """
-    left = _kz_roots(beams, ambient_left)
-    mid = _kz_roots(beams, plate.material)
-    right = left if ambient_right.eps == ambient_left.eps else _kz_roots(beams, ambient_right)
-    el, em, er = ambient_left.eps, plate.material.eps, ambient_right.eps
+    amb, mat = beams.ambient, plate.material
+    mid = _kz_roots(beams, mat)
     ph = np.repeat(np.exp(1j * mid[0] * plate.thickness), 2)
-    r1, t1, r1b, t1b = _fresnel(left, mid, el, em)
-    r2, t2, r2b, t2b = _fresnel(mid, right, em, er)
+    r1, t1, r1b, t1b = _fresnel(_kz_roots(beams, amb), mid, amb.eps, mat.eps)
+    r2, t2, r2b, t2b = r1b, t1b, r1, t1
     den = 1.0 - r1b * r2 * ph * ph
     return _diagonal_smatrix(
-        beams, ambient_left, ambient_right,
+        beams, amb, amb,
         tpp=t1 * t2 * ph / den,
         rpm=r1 + t1 * r2 * t1b * ph * ph / den,
         rmp=r2b + t2 * r1b * t2b * ph * ph / den,

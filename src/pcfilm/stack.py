@@ -127,7 +127,7 @@ def repeat_slice(s: LayerS, n: int) -> LayerS:
     if s.mat_left.eps != s.mat_right.eps:
         raise InvalidArgumentError("repeat_slice requires the same ambient on both sides")
     if n == 0:
-        return identity_smatrix(s.beams, s.mat_left)
+        return identity_smatrix(s.beams)
     acc = None
     base = s
     while n > 0:
@@ -234,7 +234,7 @@ class _LayerBuilder:
         if isinstance(el, Gap):
             return ly.gap_smatrix(el.distance, self.beams_in(ambient))
         if isinstance(el, Plate):
-            return ly.plate_smatrix(el, self.beams_in(ambient), ambient, ambient)
+            return ly.plate_smatrix(el, self.beams_in(ambient))
         if isinstance(el, PlaneOfSpheres):
             return self._sphere_plane(el)
         return repeat_slice(self.compose(el.elements, ambient), el.count)
@@ -248,7 +248,7 @@ class _LayerBuilder:
             if isinstance(el, Interface):
                 ambient = el.right
         if total is None:
-            total = identity_smatrix(self.beams_in(ambient), ambient)
+            total = identity_smatrix(self.beams_in(ambient))
         return total
 
 
@@ -258,10 +258,6 @@ def _builder(walk, media, omega, kpar, controls, lat=None):
     cutoff = controls.resolved_cutoff(omega, max(abs(e) for e in media), float(np.hypot(*kpar)))
     if lat is None:
         lat = walk.plane.lattice if walk.plane is not None else SQUARE
-    elif walk.plane is not None and lat != walk.plane.lattice:
-        raise InvalidArgumentError(
-            f"beam lattice {lat} != sphere plane lattice {walk.plane.lattice}"
-        )
     return _LayerBuilder(lat, omega, kpar, cutoff, controls.lmax)
 
 

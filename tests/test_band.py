@@ -73,6 +73,18 @@ class TestComplexBands:
         for kz in bp.kz_list:
             assert -math.pi / PERIOD - 1e-9 < kz.real <= math.pi / PERIOD + 1e-9
 
+    @pytest.mark.parametrize("side", [-1.0, 1.0], ids=["below", "above"])
+    def test_zone_edge_reads_plus_pi(self, side):
+        # omega d = pi (1 +- 1e-12): the propagating branches of a vacuum gap
+        # sit at the zone edge, which reads +pi/d from either side
+        d = 1.0
+        omega = math.pi * (1.0 + side * 1e-12) / d
+        beams = beam_set(SQUARE, omega, (0.0, 0.0), VACUUM, omega + 2 * math.pi)
+        bp = complex_bands(gap_smatrix(d, beams), d, omega, (0.0, 0.0))
+        edge = bp.kz_list[bp.propagating]
+        assert edge.size == 4  # forward and backward, s and p
+        assert np.all(np.abs(edge.real * d / math.pi - 1.0) < 1e-9)
+
     def test_im_kz_nonnegative_representatives(self):
         bp = complex_bands(_unit_slice(1.7), PERIOD, 1.7, (0.0, 0.0))
         assert all(kz.imag > -1e-6 / PERIOD for kz in bp.kz_list)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ import pcfilm.scenes as sc
 from pcfilm.cli import main
 from pcfilm.errors import ConfigError
 from pcfilm.stack import NumericalControls, slice_smatrix
+
+SLAB = Path(__file__).resolve().parent / "data" / "slab.cfg"
 
 GOOD = """[materials]
 m1 = 2.6
@@ -418,6 +421,14 @@ class TestCli:
         assert main(["validate", "--config", cfg, "--out", str(out)]) == 0
         report = (out / "validate.txt").read_text()
         assert "pass" in report.lower()
+
+    def test_validate_sphere_free_film_runs_dual_engine(self, tmp_path):
+        # interfaces and a gap around a plate: no sphere plane, not plates only
+        out = tmp_path / "val"
+        assert main(["validate", "--config", str(SLAB), "--out", str(out)]) == 0
+        report = (out / "validate.txt").read_text()
+        assert "PASS config/dual-engine" in report
+        assert "FAIL" not in report
 
     @pytest.mark.parametrize(
         "command, prefix",

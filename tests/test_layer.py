@@ -11,7 +11,7 @@ import pytest
 from oracles import beam_kz_loop, fresnel_beam, fresnel_power_reflectance, mie_oracle, plate_beam
 from pcfilm import vswf
 from pcfilm.errors import InvalidArgumentError, SingularSolveError
-from pcfilm.lattice import SQUARE, beam_set, structure_constants
+from pcfilm.lattice import SQUARE, TRIANGULAR, beam_set, structure_constants
 from pcfilm.layer import (
     COND_REPORT_LIMIT,
     Plate,
@@ -90,45 +90,52 @@ class TestGap:
 
 
 class TestPlate:
-    def test_zero_thickness_front_interface(self):
-        # right ambient equal to the plate material: front Fresnel only
-        beams = _vac_beams()
-        S = plate_smatrix(Plate(0.0, Material(4.0)), beams, VACUUM, Material(4.0))
-        assert S.rpm[0, 0] == pytest.approx(-1.0 / 3.0, abs=1e-12)
-        assert abs(S.rpm[0, 0]) ** 2 == pytest.approx(1.0 / 9.0, abs=1e-12)
-
     def test_zero_thickness_equal_ambients_identity(self):
         beams = _vac_beams()
-        S = plate_smatrix(Plate(0.0, Material(4.0)), beams, VACUUM, VACUUM)
+        S = plate_smatrix(Plate(0.0, Material(4.0)), beams)
         n = S.tpp.shape[0]
         assert np.max(np.abs(S.tpp - np.eye(n))) < 1e-12
         assert np.max(np.abs(S.rpm)) < 1e-12
 
     def test_vacuum_plate_pure_phase(self):
         beams = _vac_beams()
-        S = plate_smatrix(Plate(0.7, VACUUM), beams, VACUUM, VACUUM)
+        S = plate_smatrix(Plate(0.7, VACUUM), beams)
         assert S.tpp[0, 0] == pytest.approx(cmath.exp(1j * OM * 0.7), abs=1e-13)
         assert np.max(np.abs(S.rpm)) < 1e-14
 
     def test_opaque_substrate_underflow_safe(self):
         beams = _vac_beams()
-        S = plate_smatrix(Plate(1e8, Material(12.0 + 7.0j)), beams, VACUUM, VACUUM)
+        S = plate_smatrix(Plate(1e8, Material(12.0 + 7.0j)), beams)
         assert np.max(np.abs(S.tpp)) == 0.0
         assert abs(S.rpm[0, 0]) ** 2 == pytest.approx(
             fresnel_power_reflectance(12.0 + 7.0j), abs=1e-12
         )
 
-    def test_semigroup_property(self):
-        beams = _vac_beams()
-        mat = Material(2.5 + 0.3j)
-        d1, d2 = 0.4, 0.9
-        whole = plate_smatrix(Plate(d1 + d2, mat), beams, VACUUM, VACUUM)
+    @pytest.mark.parametrize(
+        "ambient, plate",
+        [
+            (VACUUM, Plate(1.3, Material(2.5 + 0.3j))),
+            (Material(2.25 + 0.05j), Plate(1.3, Material(2.5 + 0.3j))),
+            (VACUUM, Plate(1e8, Material(12.0 + 7.0j))),
+        ],
+        ids=["vacuum", "lossy-ambient", "opaque"],
+    )
+    def test_interface_gap_interface(self, ambient, plate):
+        # the closed form against its two interfaces and the interior gap,
+        # composed by star products; the opaque plate transmits exact zeros
+        outer = TestDiagonalLayersVsLoop._beams(ambient)
+        inner = TestDiagonalLayersVsLoop._beams(plate.material)
+        whole = plate_smatrix(plate, outer)
         split = star_product(
-            plate_smatrix(Plate(d1, mat), beams, VACUUM, mat),
-            plate_smatrix(Plate(d2, mat), beams, mat, VACUUM),
+            star_product(
+                interface_smatrix(ambient, plate.material, outer),
+                gap_smatrix(plate.thickness, inner),
+            ),
+            interface_smatrix(plate.material, ambient, inner),
         )
-        for a, b in ((whole.tpp, split.tpp), (whole.rpm, split.rpm), (whole.rmp, split.rmp)):
-            assert np.max(np.abs(a - b)) < 1e-10
+        assert whole.diagonal and split.diagonal
+        for a, b, name in zip(whole.blocks, split.blocks, ("tpp", "rpm", "rmp", "tmm")):
+            np.testing.assert_allclose(a, b, rtol=1e-13, atol=0, err_msg=name)
 
 
 class TestDiagonalLayersVsLoop:
@@ -137,10 +144,11 @@ class TestDiagonalLayersVsLoop:
     BLOCKS = ("tpp", "rpm", "rmp", "tmm")
 
     @staticmethod
-    def _beams():
-        # oblique, off the symmetry lines: one propagating order, the rest evanescent
-        beams = beam_set(SQUARE, OM, (0.7, 0.4), VACUUM, OM * math.sqrt(12.0) + 2 * math.pi)
-        assert beams.propagating.sum() == 1 and beams.n_beams == 8
+    def _beams(ambient=VACUUM):
+        # oblique, off the symmetry lines: 8 orders, the specular one
+        # propagating in a lossless ambient and the rest evanescent
+        beams = beam_set(SQUARE, OM, (0.7, 0.4), ambient, OM * math.sqrt(12.0) + 2 * math.pi)
+        assert beams.n_beams == 8 and beams.propagating.sum() == ambient.lossless
         return beams
 
     def _check(self, S, per_beam):
@@ -173,16 +181,16 @@ class TestDiagonalLayersVsLoop:
         [Plate(0.35, Material(12.0 + 0.1j)), Plate(1e8, Material(12.0 + 7.0j))],
         ids=["lossy", "opaque"],
     )
-    def test_plate_unequal_ambients(self, plate):
-        beams = self._beams()
-        left, right = VACUUM, Material(2.25)
-        kz = [beam_kz_loop(beams.kt, m.eps, OM) for m in (left, plate.material, right)]
-        eps = (left.eps, plate.material.eps, right.eps)
+    def test_plate_in_lossy_ambient(self, plate):
+        ambient = Material(2.25 + 0.05j)
+        beams = self._beams(ambient)
+        kz = [beam_kz_loop(beams.kt, m.eps, OM) for m in (ambient, plate.material, ambient)]
+        eps = (ambient.eps, plate.material.eps, ambient.eps)
 
         def per_beam(j, pol):
             return plate_beam(*(k[j] for k in kz), *eps, plate.thickness, pol)
 
-        S = plate_smatrix(plate, beams, left, right)
+        S = plate_smatrix(plate, beams)
         self._check(S, per_beam)
         if plate.thickness > 1e3:
             # the interior phase underflows: no transmission, front reflection only
@@ -257,6 +265,13 @@ class TestSpherePlane:
         )
         for got, w in zip((S.tpp, S.rpm, S.rmp, S.tmm), want):
             assert np.max(np.abs(got - w)) <= 1e-12 * np.max(np.abs(w))
+
+    def test_beams_on_another_lattice_rejected(self):
+        plane = PlaneOfSpheres(TRIANGULAR, SphereScatterer(0.3, Material(4.0), VACUUM))
+        beams = beam_set(SQUARE, 2.0, (0.5, 0.0), VACUUM, 10.0)
+        with pytest.raises(InvalidArgumentError) as exc:
+            sphere_plane_smatrix(plane, beams, 3)
+        assert str(SQUARE) in str(exc.value) and str(TRIANGULAR) in str(exc.value)
 
     def test_overlapping_spheres_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -428,16 +443,17 @@ class TestStarProductPaths:
 
     def test_lossless_plate_then_lossy_plate(self):
         beams = TestDiagonalLayersVsLoop._beams()
-        s1 = plate_smatrix(Plate(0.3, Material(4.0)), beams, VACUUM, VACUUM)
-        s2 = plate_smatrix(Plate(0.5, Material(2.0 + 0.1j)), beams, VACUUM, VACUUM)
+        s1 = plate_smatrix(Plate(0.3, Material(4.0)), beams)
+        s2 = plate_smatrix(Plate(0.5, Material(2.0 + 0.1j)), beams)
         self._check(star_product(s1, s2), True, s1, s2)
 
     def test_plate_then_interface_unequal_ambients(self):
-        beams = TestDiagonalLayersVsLoop._beams()
-        s1 = plate_smatrix(Plate(0.35, Material(12.0 + 0.1j)), beams, VACUUM, Material(2.25))
-        s2 = interface_smatrix(Material(2.25), Material(12.0 + 7.0j), beams)
+        medium = Material(2.25)
+        beams = TestDiagonalLayersVsLoop._beams(medium)
+        s1 = plate_smatrix(Plate(0.35, Material(12.0 + 0.1j)), beams)
+        s2 = interface_smatrix(medium, Material(12.0 + 7.0j), beams)
         got = star_product(s1, s2)
-        assert got.mat_left == VACUUM and got.mat_right == Material(12.0 + 7.0j)
+        assert got.mat_left == medium and got.mat_right == Material(12.0 + 7.0j)
         self._check(got, True, s1, s2)
 
     def _gap_and_plane(self):

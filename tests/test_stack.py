@@ -56,8 +56,8 @@ class TestStarProduct:
 
     def test_associativity(self):
         beams = _vac_beams()
-        a = plate_smatrix(Plate(0.3, Material(4.0)), beams, VACUUM, VACUUM)
-        b = plate_smatrix(Plate(0.5, Material(2.0 + 0.1j)), beams, VACUUM, VACUUM)
+        a = plate_smatrix(Plate(0.3, Material(4.0)), beams)
+        b = plate_smatrix(Plate(0.5, Material(2.0 + 0.1j)), beams)
         c = gap_smatrix(0.7, beams)
         left = star_product(star_product(a, b), c)
         right = star_product(a, star_product(b, c))
@@ -71,8 +71,8 @@ class TestStarProduct:
         d1 = math.pi / (2.0 * omega * math.sqrt(eps1))
         d2 = math.pi / (2.0 * omega * math.sqrt(eps2))
         beams = _vac_beams()
-        s1 = plate_smatrix(Plate(d1, Material(eps1)), beams, VACUUM, VACUUM)
-        s2 = plate_smatrix(Plate(d2, Material(eps2)), beams, VACUUM, VACUUM)
+        s1 = plate_smatrix(Plate(d1, Material(eps1)), beams)
+        s2 = plate_smatrix(Plate(d2, Material(eps2)), beams)
         comp = star_product(s1, s2)
 
         def slab_r_t(n, d):
@@ -97,13 +97,13 @@ class TestStarProduct:
 class TestRepeatSlice:
     def test_n1_is_identity_operation(self):
         beams = _vac_beams()
-        s = plate_smatrix(Plate(0.3, Material(3.0 + 0.2j)), beams, VACUUM, VACUUM)
+        s = plate_smatrix(Plate(0.3, Material(3.0 + 0.2j)), beams)
         r = repeat_slice(s, 1)
         assert np.max(np.abs(r.tpp - s.tpp)) < 1e-14
 
     def test_n4_equals_pairwise(self):
         beams = _vac_beams()
-        s = plate_smatrix(Plate(0.3, Material(3.0 + 0.2j)), beams, VACUUM, VACUUM)
+        s = plate_smatrix(Plate(0.3, Material(3.0 + 0.2j)), beams)
         quad = repeat_slice(s, 4)
         ref = star_product(star_product(s, s), star_product(s, s))
         for x, y in ((quad.tpp, ref.tpp), (quad.rpm, ref.rpm)):
@@ -122,7 +122,7 @@ class TestRepeatSlice:
 
     def test_doubling_vs_naive_chain(self):
         beams = _vac_beams()
-        s = plate_smatrix(Plate(0.2, Material(2.5 + 0.05j)), beams, VACUUM, VACUUM)
+        s = plate_smatrix(Plate(0.2, Material(2.5 + 0.05j)), beams)
         chain = s
         for _ in range(6):
             chain = star_product(chain, s)
