@@ -16,8 +16,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
+# scipy.linalg is imported inside complex_bands, not here: it costs about 0.2 s
+# at start-up, and only the band command solves the pencil.
 from .errors import ConvergenceError, InvalidArgumentError
 from .layer import LayerS
 
@@ -51,6 +52,8 @@ def complex_bands(unit: LayerS, period: float, omega: float, kpar) -> BandPoint:
     branches are concatenated, each eigenvector in its own sector's rows, so
     branches of different sectors never overlap.
     """
+    import scipy.linalg
+
     if period <= 0:
         raise InvalidArgumentError(f"period must be > 0, got {period}")
     if unit.mat_left.eps != unit.mat_right.eps:

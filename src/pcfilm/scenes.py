@@ -36,7 +36,9 @@ Element forms: ``interface <matL> <matR>``, ``gap <d>``, ``plate <mat> <d>``,
 All lengths are in internal units (the 2D lattice constant); display
 frequencies are internal * frequency_unit (angular) or that / 2pi (ordinary).
 Loading a scene rejects a sweep outside these ranges or with a count below 1,
-and builds the stack once, which checks every element against its ambient.
+a non-finite phi or omega bound, and a frequency_unit or numeric cutoff that
+is not finite and > 0.  It builds the stack once, which checks every element
+against its ambient.
 """
 
 from __future__ import annotations
@@ -84,12 +86,20 @@ class Scene:
         issues = []
         if not 1 <= self.lmax <= LMAX_CAP:
             issues.append(f"[numerics] lmax must be in 1..{LMAX_CAP}, got {self.lmax}")
+        if self.cutoff != "auto" and not 0 < self.cutoff < math.inf:
+            issues.append(f"[numerics] cutoff must be auto or finite and > 0, got {self.cutoff}")
         lo, hi, n = self.omega_sweep
-        if not (lo > 0 and hi > 0 and n >= 1):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            issues.append(f"[sweep] omega = {lo} {hi} {n}: need finite min, max")
+        elif not (lo > 0 and hi > 0 and n >= 1):
             issues.append(f"[sweep] omega = {lo} {hi} {n}: need min, max > 0, count >= 1")
         lo, hi, n = self.theta_sweep
         if not (0 <= lo < 90 and 0 <= hi < 90 and n >= 1):
             issues.append(f"[sweep] theta = {lo} {hi} {n}: need min, max in [0, 90), count >= 1")
+        if not math.isfinite(self.phi_deg):
+            issues.append(f"[sweep] phi must be finite, got {self.phi_deg}")
+        if not 0 < self.frequency_unit < math.inf:
+            issues.append(f"[sweep] frequency_unit must be finite and > 0, got {self.frequency_unit}")
         if issues:
             raise ConfigError([(None, msg) for msg in issues])
 

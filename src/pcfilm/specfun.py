@@ -28,8 +28,9 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import hankel1, spherical_jn
 
+# scipy.special is imported inside the radial functions, not here: it costs
+# about 0.2 s and 26 MB at start-up, and a scene without spheres never calls them.
 from .errors import InvalidArgumentError, SingularArgumentError
 
 # Default and hard cap for the multipole cutoff used by the physics modules.
@@ -49,6 +50,8 @@ def _checked_argument(lmax: int, z) -> complex:
 
 def sph_bessel(lmax: int, z: complex) -> np.ndarray:
     """Spherical Bessel functions j_0..j_lmax at complex argument z."""
+    from scipy.special import spherical_jn
+
     z = _checked_argument(lmax, z)
     return spherical_jn(np.arange(lmax + 1), z)
 
@@ -59,6 +62,8 @@ def sph_hankel1(lmax: int, z: complex) -> np.ndarray:
     From the cylinder function, h_l = sqrt(pi / 2z) H^(1)_{l+1/2}(z); the
     sum j + i y would cancel for Im z > 0, where h decays while j, y grow.
     """
+    from scipy.special import hankel1
+
     z = _checked_argument(lmax, z)
     if z == 0:
         raise SingularArgumentError("h^(1)_l is singular at z = 0")

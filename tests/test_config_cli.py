@@ -177,6 +177,39 @@ MESSAGE_CASES = {
         [("cutoff = auto", "cutoff = big")],
         [(27, "bad value for 'cutoff': could not convert string to float: 'big'")],
     ),
+    "cutoff-nan": (
+        [("cutoff = auto", "cutoff = nan")],
+        [(None, "[numerics] cutoff must be auto or finite and > 0, got nan")],
+    ),
+    "cutoff-inf": (
+        [("cutoff = auto", "cutoff = inf")],
+        [(None, "[numerics] cutoff must be auto or finite and > 0, got inf")],
+    ),
+    "cutoff-negative": (
+        [("cutoff = auto", "cutoff = -3")],
+        [(None, "[numerics] cutoff must be auto or finite and > 0, got -3.0")],
+    ),
+    "phi-nan": ([("phi = 0.0", "phi = nan")], [(None, "[sweep] phi must be finite, got nan")]),
+    "frequency-unit-zero": (
+        [("frequency_unit = 1.4142135623730951", "frequency_unit = 0")],
+        [(None, "[sweep] frequency_unit must be finite and > 0, got 0.0")],
+    ),
+    "frequency-unit-negative": (
+        [("frequency_unit = 1.4142135623730951", "frequency_unit = -1")],
+        [(None, "[sweep] frequency_unit must be finite and > 0, got -1.0")],
+    ),
+    "frequency-unit-nan": (
+        [("frequency_unit = 1.4142135623730951", "frequency_unit = nan")],
+        [(None, "[sweep] frequency_unit must be finite and > 0, got nan")],
+    ),
+    "omega-inf": (
+        [("omega = 1.6 3.0 5", "omega = 1 inf 2")],
+        [(None, "[sweep] omega = 1.0 inf 2: need finite min, max")],
+    ),
+    "omega-nan": (
+        [("omega = 1.6 3.0 5", "omega = nan 3 5")],
+        [(None, "[sweep] omega = nan 3.0 5: need finite min, max")],
+    ),
     "element-holes": (
         [("unit2 = plate m2 0.81", "unit3 = plate m2 0.81")],
         [(None, "element keys must be numbered 1..n without holes")],
@@ -194,6 +227,10 @@ MESSAGE_CASES = {
          (None, "[sweep] omega is required")],
     ),
     "unknown-material": ([("exit = substrate", "exit = steel")], [(None, "unknown material 'steel'")]),
+    "non-finite-lattice": (
+        [("a1 = 1.0 0.0", "a1 = nan 0.0")],
+        [(None, "non-finite lattice vector: a1=(nan, 0.0), a2=(0.0, 1.0)")],
+    ),
     "degenerate-lattice": (
         [("a2 = 0.0 1.0", "a2 = 2.0 0.0")],
         [(None, "degenerate lattice cell: a1=(1.0, 0.0), a2=(2.0, 0.0)")],
@@ -478,6 +515,12 @@ class TestCli:
         argv = ["band", "--preset", "paper-fig4", "--lmax", lmax, "--out", str(tmp_path / "x")]
         assert main(argv) == 2
         assert f"error: [numerics] lmax must be in 1..14, got {lmax}" in capsys.readouterr().err
+
+    def test_non_finite_cutoff_override(self, tmp_path, capsys):
+        argv = ["spectrum", "--config", str(SLAB), "--cutoff", "nan", "--out", str(tmp_path / "x")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: [numerics] cutoff must be auto or finite and > 0, got nan\n"
 
     def test_preset_and_config_conflict(self, tmp_path):
         cfg = self._write(tmp_path, _small_fig3())

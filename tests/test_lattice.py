@@ -79,6 +79,11 @@ class TestReciprocalBasis:
         with pytest.raises(InvalidArgumentError):
             reciprocal_basis(Lattice2D((1.0, 0.0), (2.0, 0.0)))
 
+    @pytest.mark.parametrize("a1", [(math.nan, 0.0), (1.0, math.inf)])
+    def test_non_finite_rejected(self, a1):
+        with pytest.raises(InvalidArgumentError, match="non-finite lattice vector"):
+            Lattice2D(a1, (0.0, 1.0))
+
 
 class TestFoldToZone:
     def test_interior_point_unchanged(self):
@@ -135,6 +140,11 @@ class TestBeamSet:
     def test_cutoff_too_small_rejected(self):
         with pytest.raises(InvalidArgumentError):
             beam_set(SQUARE, 3.0, (0.0, 0.0), Material(4.0), 3.0)
+
+    @pytest.mark.parametrize("cutoff", [math.nan, math.inf])
+    def test_non_finite_cutoff_rejected(self, cutoff):
+        with pytest.raises(InvalidArgumentError, match="cutoff must be finite"):
+            beam_set(SQUARE, 3.0, (0.0, 0.0), Material(4.0), cutoff)
 
     def test_cardinality_nondecreasing_in_cutoff(self):
         sizes = [
