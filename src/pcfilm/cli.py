@@ -186,23 +186,17 @@ def _lossless_variant(scene: sc.Scene) -> sc.Scene:
     return dataclasses.replace(scene, materials=mats, exit="vacuum", opaque="false")
 
 
-def _onedim_layers(desc) -> list:
-    """The OneDimLayers of a sphere-free stack: a gap is a layer of its ambient."""
+def _onedim_layers(walk) -> list:
+    """The OneDimLayers of a sphere-free walk: a gap is a layer of its ambient."""
     layers = []
-
-    def scan(elements, ambient):
-        for el in elements:
-            if isinstance(el, Repeat):
-                for _ in range(el.count):
-                    scan(el.elements, ambient)
-            elif isinstance(el, Interface):
-                ambient = el.right
-            elif isinstance(el, Gap):
-                layers.append(OneDimLayer(ambient.eps, el.distance))
-            else:
-                layers.append(OneDimLayer(el.material.eps, el.thickness))
-
-    scan(desc.elements, desc.incident)
+    for step in walk.steps:
+        el = step.element
+        if isinstance(el, Repeat):
+            layers += _onedim_layers(step.walk) * el.count
+        elif isinstance(el, Gap):
+            layers.append(OneDimLayer(step.ambient.eps, el.distance))
+        elif not isinstance(el, Interface):
+            layers.append(OneDimLayer(el.material.eps, el.thickness))
     return layers
 
 
@@ -230,7 +224,7 @@ def run_validate(scene: sc.Scene):
     checks.append(("energy-conservation", resid, 1e-6 if spheres else 1e-10))
 
     if not spheres:
-        layers = _onedim_layers(desc)
+        layers = _onedim_layers(desc.walk)
         emap = _angular_map(scene, om_disp, th_pts)
         onedim = np.array([
             [

@@ -157,10 +157,12 @@ class BeamSet:
 
 def beam_set(lat: Lattice2D, omega: float, kpar, ambient: Material, cutoff: float) -> BeamSet:
     """All diffraction orders g with |kpar+g| <= cutoff, kpar folded first."""
-    if omega <= 0:
+    if not omega > 0:
         raise InvalidArgumentError(f"omega must be > 0, got {omega}")
     if not math.isfinite(cutoff):
         raise InvalidArgumentError(f"cutoff must be finite, got {cutoff}")
+    if not np.isfinite(kpar).all():
+        raise InvalidArgumentError(f"kpar must be finite, got {np.asarray(kpar).tolist()}")
     k2 = ambient.eps * omega * omega
     if cutoff < omega * math.sqrt(abs(ambient.eps)) - 1e-12:
         raise InvalidArgumentError(
@@ -411,7 +413,7 @@ def structure_constants(lat: Lattice2D, omega: float, kpar, host: Material, lmax
     the regular expansion at the origin site.  Two multipoles of order
     l <= lmax couple through the sums of order p <= 2 lmax only.
     """
-    if omega <= 0:
+    if not omega > 0:
         raise InvalidArgumentError(f"omega must be > 0, got {omega}")
     if lmax < 1:
         raise InvalidArgumentError(f"lmax must be >= 1, got {lmax}")

@@ -63,6 +63,9 @@ class PlaneOfSpheres:
     offset: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
+        offset = tuple(map(float, self.offset))
+        if not all(map(math.isfinite, offset)):
+            raise InvalidArgumentError(f"offset must be finite, got {offset}")
         nn = self.lattice.nearest_distance
         if 2 * self.scatterer.radius >= nn:
             raise InvalidArgumentError(
@@ -79,6 +82,8 @@ class Plate:
     material: Material
 
     def __post_init__(self):
+        if not math.isfinite(self.thickness):
+            raise InvalidArgumentError(f"thickness must be finite, got {self.thickness}")
         if self.thickness < 0:
             raise InvalidArgumentError(f"thickness must be >= 0, got {self.thickness}")
 

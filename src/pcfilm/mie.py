@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -35,6 +36,8 @@ class Material:
     eps: complex
 
     def __post_init__(self):
+        if not cmath.isfinite(self.eps):
+            raise InvalidArgumentError(f"eps must be finite, got {self.eps}")
         if complex(self.eps).imag < 0:
             raise InvalidArgumentError(f"passive media only: Im(eps) >= 0, got {self.eps}")
 
@@ -63,6 +66,8 @@ class SphereScatterer:
     host: Material
 
     def __post_init__(self):
+        if not math.isfinite(self.radius):
+            raise InvalidArgumentError(f"radius must be finite, got {self.radius}")
         if self.radius <= 0:
             raise InvalidArgumentError(f"radius must be > 0, got {self.radius}")
 
@@ -74,7 +79,7 @@ def mie_t(sphere: SphereScatterer, omega: float, lmax: int) -> tuple[np.ndarray,
     the outgoing scattered multipole; |1 + 2 T_l| = 1 for lossless media.
     Index convention: returned arrays have length lmax with entry [l-1].
     """
-    if omega <= 0:
+    if not omega > 0:
         raise InvalidArgumentError(f"omega must be > 0, got {omega}")
     if not 1 <= lmax <= LMAX_CAP:
         raise InvalidArgumentError(f"lmax must be in 1..{LMAX_CAP}, got {lmax}")
@@ -128,7 +133,7 @@ def mie_cross_sections(sphere: SphereScatterer, omega: float) -> CrossSections:
     Cross-section normalization in a lossy host is ambiguous; for such hosts
     the not-applicable marker is returned.
     """
-    if omega <= 0:
+    if not omega > 0:
         raise InvalidArgumentError(f"omega must be > 0, got {omega}")
     if not sphere.host.lossless:
         return NOT_APPLICABLE

@@ -69,7 +69,7 @@ def layer_matrix(
     layer: OneDimLayer, omega: float, theta0: float, pol: str, ambient: Material = VACUUM
 ) -> OneDimMatrix:
     """Transfer matrix of one layer, expressed in the ambient amplitude basis."""
-    if omega <= 0:
+    if not omega > 0:
         raise InvalidArgumentError(f"omega must be > 0, got {omega}")
     if not 0 <= theta0 < math.pi / 2:
         raise InvalidArgumentError(f"theta0 must be in [0, pi/2), got {theta0}")

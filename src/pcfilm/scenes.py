@@ -43,6 +43,7 @@ against its ambient.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -153,10 +154,11 @@ class Scene:
         return StackDescription(elements, incident=incident, exit=exit_m, opaque_exit=opaque)
 
     def unit_slice(self):
-        """(elements, ambient, period) of the repeated part, for band structure."""
-        incident = self.material(self.incident)
-        _, amb = self._build_elements(self.pre, incident)
-        unit, _ = self._build_elements(self.unit, amb)
+        """(elements, ambient, period) of the repeated part, read from the stack's walk."""
+        walk = self.build_stack().walk
+        rest = walk.steps[len(self.pre):]  # the unit's Repeat first, if there is a unit
+        amb = rest[0].ambient if rest else walk.exit
+        unit = rest[0].element.elements if self.unit else ()
         period = sum(
             el.distance if isinstance(el, Gap) else (el.thickness if isinstance(el, Plate) else 0.0)
             for el in unit
@@ -283,7 +285,9 @@ def parse_config(text: str) -> Scene:
                     issues.append((ln, f"duplicate material {key!r}"))
                 else:
                     eps = _parse_complex(val)
-                    if eps.imag < 0:
+                    if not cmath.isfinite(eps):
+                        issues.append((ln, f"eps must be finite, got {eps}"))
+                    elif eps.imag < 0:
                         issues.append((ln, f"Im(eps) must be >= 0, got {eps}"))
                     else:
                         materials.append((key, eps))

@@ -2,9 +2,9 @@
 
 A stack is an ordered list of elements traversed left (incident side) to
 right (exit side).  The ambient medium starts at ``incident`` and is changed
-only by Interface elements; every element is validated against the ambient
-it sits in.  If the ambient after the last element differs from ``exit``, a
-final interface onto the exit medium is appended automatically.
+only by Interface elements.  ``walk_stack`` alone follows it: it checks
+every element against the ambient it sits in, records both, and ends with
+an interface onto ``exit`` when the last ambient differs.  Solves compose it.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ class Gap:
     distance: float
 
     def __post_init__(self):
+        if not math.isfinite(self.distance):
+            raise InvalidArgumentError(f"distance must be finite, got {self.distance}")
         if self.distance < 0:
             raise InvalidArgumentError(f"distance must be >= 0, got {self.distance}")
 
@@ -81,7 +83,7 @@ class StackDescription:
                 f"a lossy exit medium (eps={self.exit.eps}) must be opaque: "
                 "no beam propagates in it to carry transmitted flux"
             )
-        object.__setattr__(self, "walk", walk_stack(self.elements, self.incident))
+        object.__setattr__(self, "walk", walk_stack(self.elements, self.incident, self.exit))
 
     @property
     def exit_is_opaque(self) -> bool:
@@ -140,16 +142,28 @@ def repeat_slice(s: LayerS, n: int) -> LayerS:
 
 
 @dataclass(frozen=True)
+class Step:
+    """One element of a walk, the ambient it sits in and, for a Repeat, its walk."""
+
+    element: object
+    ambient: Material
+    walk: StackWalk | None = None
+
+
+@dataclass(frozen=True)
 class StackWalk:
     """What a validated element sequence leaves behind.
 
-    ``exit`` is the ambient after the last element; ``media`` the set of eps
-    that fixes the beam cutoff (the starting ambient, the right medium of
-    every interface, inside a Repeat or not, and every plate material);
-    ``plane`` the first sphere plane in depth-first order, or None.  Every
-    sphere plane shares its lattice.
+    ``steps`` holds a Step per element, then one for the interface onto the
+    exit medium if the walk was given one other than its last ambient;
+    ``exit`` is the ambient after the last step; ``media`` the eps that fix
+    the beam cutoff (the starting ambient, the right medium of every
+    interface, inside a Repeat or not, and every plate material); ``plane``
+    the first sphere plane in depth-first order, or None.  Every sphere
+    plane shares its lattice.
     """
 
+    steps: tuple
     exit: Material
     media: frozenset
     plane: PlaneOfSpheres | None
@@ -166,14 +180,17 @@ def _first_plane(plane, other):
     return plane
 
 
-def walk_stack(elements, ambient: Material) -> StackWalk:
-    """Check every element against the ambient it sits in.
+def walk_stack(elements, ambient: Material, exit: Material | None = None) -> StackWalk:
+    """Check every element against the ambient it sits in, and record it.
 
-    A StackDescription runs it once, when built; ``slice_smatrix`` per call.
+    Given ``exit``, the walk ends in that medium.  A StackDescription runs
+    it once, when built; ``slice_smatrix`` per call.
     """
+    steps = []
     media = {complex(ambient.eps)}
     plane = None
     for el in elements:
+        inside, sub = ambient, None
         if isinstance(el, Interface):
             if el.left.eps != ambient.eps:
                 raise InvalidArgumentError(
@@ -197,18 +214,26 @@ def walk_stack(elements, ambient: Material) -> StackWalk:
             media.add(complex(el.material.eps))
         elif not isinstance(el, Gap):
             raise InvalidArgumentError(f"unknown stack element {el!r}")
-    return StackWalk(ambient, frozenset(media), plane)
+        steps.append(Step(el, inside, sub))
+    if exit is not None and exit.eps != ambient.eps:
+        steps.append(Step(Interface(ambient, exit), ambient))
+        media.add(complex(exit.eps))
+        ambient = exit
+    return StackWalk(tuple(steps), ambient, frozenset(media), plane)
 
 
 class _LayerBuilder:
-    """Builds per-element S-matrices, caching BeamSets per medium."""
+    """S-matrices of a walk's steps, their beam cutoff covering the walk's media."""
 
-    def __init__(self, lat: Lattice2D, omega: float, kpar, cutoff: float, lmax: int):
+    def __init__(self, walk: StackWalk, omega: float, kpar, controls: NumericalControls, lat=None):
+        if lat is None:
+            lat = walk.plane.lattice if walk.plane is not None else SQUARE
         self.lat = lat
         self.omega = omega
-        self.kpar = tuple(kpar)
-        self.cutoff = cutoff
-        self.lmax = lmax
+        self.kpar = tuple(np.asarray(kpar, dtype=float))
+        self.lmax = controls.lmax
+        eps_max = max(abs(e) for e in walk.media)
+        self.cutoff = controls.resolved_cutoff(omega, eps_max, float(np.hypot(*self.kpar)))
         self._beams: dict[complex, object] = {}
         self._planes: dict = {}
 
@@ -228,37 +253,25 @@ class _LayerBuilder:
             self._planes[key] = ly.sphere_plane_smatrix(centred, beams, self.lmax)
         return ly.displaced_smatrix(self._planes[key], el.offset)
 
-    def build(self, el, ambient: Material) -> LayerS:
+    def build(self, step: Step) -> LayerS:
+        el = step.element
         if isinstance(el, Interface):
             return ly.interface_smatrix(el.left, el.right, self.beams_in(el.left))
         if isinstance(el, Gap):
-            return ly.gap_smatrix(el.distance, self.beams_in(ambient))
+            return ly.gap_smatrix(el.distance, self.beams_in(step.ambient))
         if isinstance(el, Plate):
-            return ly.plate_smatrix(el, self.beams_in(ambient))
+            return ly.plate_smatrix(el, self.beams_in(step.ambient))
         if isinstance(el, PlaneOfSpheres):
             return self._sphere_plane(el)
-        return repeat_slice(self.compose(el.elements, ambient), el.count)
+        return repeat_slice(self.compose(step.walk), el.count)
 
-    def compose(self, elements, ambient: Material) -> LayerS:
-        """Star product of a sequence that walk_stack has validated."""
+    def compose(self, walk: StackWalk) -> LayerS:
+        """Star product of a walk's steps, in order; a Repeat's by doubling."""
         total = None
-        for el in elements:
-            s = self.build(el, ambient)
+        for step in walk.steps:
+            s = self.build(step)
             total = s if total is None else star_product(total, s)
-            if isinstance(el, Interface):
-                ambient = el.right
-        if total is None:
-            total = identity_smatrix(self.beams_in(ambient))
-        return total
-
-
-def _builder(walk, media, omega, kpar, controls, lat=None):
-    """Builder for a walked sequence, its beam cutoff covering every eps in media."""
-    kpar = np.asarray(kpar, dtype=float)
-    cutoff = controls.resolved_cutoff(omega, max(abs(e) for e in media), float(np.hypot(*kpar)))
-    if lat is None:
-        lat = walk.plane.lattice if walk.plane is not None else SQUARE
-    return _LayerBuilder(lat, omega, kpar, cutoff, controls.lmax)
+        return identity_smatrix(self.beams_in(walk.exit)) if total is None else total
 
 
 def slice_smatrix(
@@ -275,20 +288,14 @@ def slice_smatrix(
     entrance/exit interfaces are wanted.
     """
     walk = walk_stack(elements, ambient)
-    return _builder(walk, walk.media, omega, kpar, controls, lat).compose(elements, ambient)
+    return _LayerBuilder(walk, omega, kpar, controls, lat).compose(walk)
 
 
 def stack_smatrix(
     desc: StackDescription, omega: float, kpar, controls: NumericalControls
 ) -> LayerS:
-    """Total S-matrix of the stack, including the final exit interface."""
-    walk = desc.walk
-    builder = _builder(walk, walk.media | {complex(desc.exit.eps)}, omega, kpar, controls)
-    total = builder.compose(desc.elements, desc.incident)
-    if walk.exit.eps != desc.exit.eps:
-        tail = ly.interface_smatrix(walk.exit, desc.exit, builder.beams_in(walk.exit))
-        total = star_product(total, tail)
-    return total
+    """Total S-matrix of the stack: its walk ends with the exit interface."""
+    return _LayerBuilder(desc.walk, omega, kpar, controls).compose(desc.walk)
 
 
 def _extract_point(
@@ -333,7 +340,7 @@ def solve_stack_points(
     """SpectrumPoints for several polarizations sharing one stack S-matrix."""
     if controls is None:
         controls = NumericalControls()
-    if omega <= 0:
+    if not omega > 0:
         raise InvalidArgumentError(f"omega must be > 0, got {omega}")
     if not 0 <= theta < math.pi / 2:
         raise InvalidArgumentError(f"theta must be in [0, pi/2), got {theta}")

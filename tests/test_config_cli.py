@@ -15,6 +15,7 @@ from pcfilm.errors import ConfigError
 from pcfilm.stack import NumericalControls, slice_smatrix
 
 SLAB = Path(__file__).resolve().parent / "data" / "slab.cfg"
+REPEATED_SLAB = SLAB.with_name("repeated-slab.cfg")
 
 GOOD = """[materials]
 m1 = 2.6
@@ -254,6 +255,31 @@ MESSAGE_CASES = {
         [(None, "spheres overlap in plane: diameter 1.2 >= nearest-neighbor distance 1.0")],
     ),
     "negative-periods": ([("periods = 4", "periods = -1")], [(None, "count must be >= 0, got -1")]),
+    "gap-nan": (
+        [("unit2 = plate m2 0.81", "unit2 = gap nan")], [(None, "distance must be finite, got nan")]
+    ),
+    "gap-inf": (
+        [("unit2 = plate m2 0.81", "unit2 = gap inf")], [(None, "distance must be finite, got inf")]
+    ),
+    "plate-thickness-nan": (
+        [("unit2 = plate m2 0.81", "unit2 = plate m2 nan")],
+        [(None, "thickness must be finite, got nan")],
+    ),
+    "plate-material-nan": ([("m2 = 1.44", "m2 = nan")], [(3, "eps must be finite, got (nan+0j)")]),
+    "interface-material-nan": (
+        [("m1 = 2.6", "m1 = nan"),
+         ("unit1 = plate m1 0.6", "pre1 = interface vacuum m1\npre2 = interface m1 vacuum\n"
+                                  "unit1 = plate m1 0.6")],
+        [(2, "eps must be finite, got (nan+0j)")],
+    ),
+    "sphere-radius-nan": (
+        [("unit2 = plate m2 0.81", "unit2 = spheres m2 nan")],
+        [(None, "radius must be finite, got nan")],
+    ),
+    "sphere-offset-nan": (
+        [("unit2 = plate m2 0.81", "unit2 = spheres m2 0.1 nan 0")],
+        [(None, "offset must be finite, got (nan, nan)")],
+    ),
 }
 
 
@@ -459,13 +485,21 @@ class TestCli:
         report = (out / "validate.txt").read_text()
         assert "pass" in report.lower()
 
-    def test_validate_sphere_free_film_runs_dual_engine(self, tmp_path):
-        # interfaces and a gap around a plate: no sphere plane, not plates only
+    @pytest.mark.parametrize("config", [SLAB, REPEATED_SLAB], ids=["slab", "repeated-slab"])
+    def test_validate_sphere_free_film_runs_dual_engine(self, tmp_path, config):
+        # interfaces and a gap around a plate, once in the repeated unit: no
+        # sphere plane, not plates only
         out = tmp_path / "val"
-        assert main(["validate", "--config", str(SLAB), "--out", str(out)]) == 0
+        assert main(["validate", "--config", str(config), "--out", str(out)]) == 0
         report = (out / "validate.txt").read_text()
         assert "PASS config/dual-engine" in report
         assert "FAIL" not in report
+
+    def test_band_needs_a_repeated_unit(self, tmp_path, capsys):
+        assert main(["band", "--config", str(SLAB), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: scene has no repeated unit with positive thickness\n"
+        )
 
     @pytest.mark.parametrize(
         "command, prefix",

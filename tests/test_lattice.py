@@ -146,6 +146,18 @@ class TestBeamSet:
         with pytest.raises(InvalidArgumentError, match="cutoff must be finite"):
             beam_set(SQUARE, 3.0, (0.0, 0.0), Material(4.0), cutoff)
 
+    def test_non_finite_omega_rejected(self):
+        # a NaN passes omega <= 0; it used to give beams whose kz were all NaN
+        with pytest.raises(InvalidArgumentError, match="omega must be > 0, got nan"):
+            beam_set(SQUARE, math.nan, (0.0, 0.0), Material(1.0), 10.0)
+        with pytest.raises(InvalidArgumentError, match="omega must be > 0, got nan"):
+            structure_constants(SQUARE, math.nan, (0.0, 0.0), Material(1.0), 2)
+
+    @pytest.mark.parametrize("kpar", [(math.nan, 0.0), (0.0, math.inf)])
+    def test_non_finite_kpar_rejected(self, kpar):
+        with pytest.raises(InvalidArgumentError, match="kpar must be finite"):
+            beam_set(SQUARE, 1.0, kpar, Material(1.0), 10.0)
+
     def test_cardinality_nondecreasing_in_cutoff(self):
         sizes = [
             len(beam_set(SQUARE, 1.0, (0.1, 0.2), Material(1.0), c).g_ints)

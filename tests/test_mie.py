@@ -47,6 +47,11 @@ class TestMaterial:
         with pytest.raises(InvalidArgumentError):
             Material(12.0 - 0.1j)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, complex(2.0, math.inf)])
+    def test_non_finite_rejected(self, eps):
+        with pytest.raises(InvalidArgumentError, match="eps must be finite"):
+            Material(eps)
+
     def test_lossless_flag(self):
         assert Material(12.0).lossless
         assert not Material(12.0 + 0.1j).lossless
@@ -78,6 +83,13 @@ class TestMieT:
         sph = SphereScatterer(0.3, Material(2.0), Material(1.0))
         with pytest.raises(InvalidArgumentError):
             mie_t(sph, 0.0, 4)
+
+    def test_nan_omega_rejected(self):
+        sph = SphereScatterer(0.3, Material(2.0), Material(1.0))
+        with pytest.raises(InvalidArgumentError, match="omega must be > 0, got nan"):
+            mie_t(sph, math.nan, 4)
+        with pytest.raises(InvalidArgumentError, match="omega must be > 0, got nan"):
+            mie_cross_sections(sph, math.nan)
 
     def test_vs_oracle_lossy_host(self):
         sph = SphereScatterer(0.30618621, Material(1.0), Material(12.0 + 0.1j))

@@ -206,6 +206,8 @@ class TestSolveStack:
             solve_stack(desc, OM, math.pi / 2, 0.0, "s")
         with pytest.raises(InvalidArgumentError):
             solve_stack(desc, OM, 0.0, 0.0, "x")
+        with pytest.raises(InvalidArgumentError, match="omega must be > 0, got nan"):
+            solve_stack(desc, math.nan, 0.0, 0.0, "s")
         # a lossy incident ambient is rejected when the stack is built
         with pytest.raises(InvalidArgumentError, match="incident ambient must be lossless"):
             StackDescription((), incident=Material(2.0 + 0.1j))
@@ -316,6 +318,73 @@ class TestWalkChecks:
         assert str(SQUARE) in str(exc.value) and str(TRIANGULAR) in str(exc.value)
         # the planes' own lattice, given explicitly, is accepted
         slice_smatrix(unit, VACUUM, OM, (0.0, 0.0), controls, lat=SQUARE)
+
+
+_GLASS, _DENSE = Material(2.25), Material(4.0)
+# interfaces outside the Repeat and inside it: the film enters glass, each
+# period enters and leaves the dense medium, and the film ends in glass
+_REPEATED = (
+    Interface(VACUUM, _GLASS),
+    Gap(0.3),
+    Repeat(
+        (Interface(_GLASS, _DENSE), Gap(0.2), Plate(0.1, Material(3.0)), Interface(_DENSE, _GLASS)),
+        2,
+    ),
+    Gap(0.1),
+)
+
+
+class TestWalkSteps:
+    """The walk records each element with its ambient and ends in the exit medium."""
+
+    @pytest.mark.parametrize(
+        "exit_m",
+        [_GLASS, Material(2.25 + 0j), VACUUM, Material(12 + 7j)],
+        ids=["glass", "glass-eps-complex", "vacuum", "lossy"],
+    )
+    def test_steps_carry_ambients_and_exit(self, exit_m):
+        walk = StackDescription(_REPEATED, exit=exit_m).walk
+        outer = [(s.element, s.ambient) for s in walk.steps[: len(_REPEATED)]]
+        assert outer == list(zip(_REPEATED, [VACUUM, _GLASS, _GLASS, _GLASS]))
+        unit = walk.steps[2].walk
+        assert [(s.element, s.ambient) for s in unit.steps] == list(
+            zip(_REPEATED[2].elements, [_GLASS, _DENSE, _DENSE, _DENSE])
+        )
+        assert unit.exit == _GLASS
+        assert all((s.walk is not None) == isinstance(s.element, Repeat) for s in walk.steps)
+        # the exit interface is the last step exactly when the exit medium differs
+        tail = walk.steps[len(_REPEATED):]
+        if exit_m.eps == _GLASS.eps:
+            assert tail == ()
+        else:
+            assert [(s.element, s.ambient) for s in tail] == [(Interface(_GLASS, exit_m), _GLASS)]
+        assert walk.exit == exit_m
+
+    @pytest.mark.parametrize("exit_m", [VACUUM, Material(12 + 7j)], ids=["vacuum", "lossy"])
+    def test_exit_interface_composed_last(self, exit_m):
+        # the stack's S-matrix is its elements' with the exit interface as one more element
+        controls = NumericalControls(lmax=2)
+        kpar = (OM * math.sin(0.3), 0.0)
+        got = stack_smatrix(StackDescription(_REPEATED, exit=exit_m), OM, kpar, controls)
+        elements = _REPEATED + (Interface(_GLASS, exit_m),)
+        want = slice_smatrix(elements, VACUUM, OM, kpar, controls)
+        assert got.beams.g_ints == want.beams.g_ints
+        for i in range(4):
+            assert np.array_equal(got.stacked(i), want.stacked(i))
+
+    @pytest.mark.parametrize("name", ["paper-fig2", "paper-fig3", "paper-fig4"])
+    def test_unit_slice_reads_the_walk(self, name):
+        scene = sc.preset(name)
+        unit, ambient, period = scene.unit_slice()
+        # the elements and ambient built from the config text, and the period
+        # summed in the same order, so it has the same bits
+        _, want_ambient = scene._build_elements(scene.pre, scene.material(scene.incident))
+        want_unit, _ = scene._build_elements(scene.unit, want_ambient)
+        assert unit == want_unit and ambient == want_ambient
+        assert period == sum(
+            el.distance if isinstance(el, Gap) else (el.thickness if isinstance(el, Plate) else 0.0)
+            for el in want_unit
+        )
 
 
 def _record_calls(monkeypatch, module, name):
