@@ -56,7 +56,7 @@ def complex_bands(unit: LayerS, period: float, omega: float, kpar) -> BandPoint:
 
     if period <= 0:
         raise InvalidArgumentError(f"period must be > 0, got {period}")
-    if unit.mat_left.eps != unit.mat_right.eps:
+    if unit.beams.ambient.eps != unit.mat_right.eps:
         raise InvalidArgumentError("unit slice must have the same ambient on both sides")
     tpp, rpm, rmp, tmm = (unit.stacked(i) for i in range(4))
     n_sectors, n = tpp.shape[:2]

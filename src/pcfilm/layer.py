@@ -228,8 +228,7 @@ class LayerS:
     built on first use and cached.
     """
 
-    beams: BeamSet
-    mat_left: Material
+    beams: BeamSet  # the only record of the left side, its medium included
     mat_right: Material
     blocks: tuple
     sectors: Sectors | None = None
@@ -280,7 +279,7 @@ def _full_basis(s: LayerS) -> LayerS:
     if s.sectors is None:
         return s
     blocks = tuple(getattr(s, name)[None] for name in _BLOCK_NAMES)
-    return LayerS(s.beams, s.mat_left, s.mat_right, blocks)
+    return LayerS(s.beams, s.mat_right, blocks)
 
 
 def _common_basis(s1: LayerS, s2: LayerS) -> tuple[LayerS, LayerS]:
@@ -293,25 +292,23 @@ def _common_basis(s1: LayerS, s2: LayerS) -> tuple[LayerS, LayerS]:
     if full.diagonal:
         d = np.concatenate(full.blocks)[:, sectors.idx]  # (block, slot, sector, k)
         if np.array_equal(d[:, 0], d[:, 1]):
-            moved = LayerS(full.beams, full.mat_left, full.mat_right, tuple(d[:, 0]), sectors)
+            moved = LayerS(full.beams, full.mat_right, tuple(d[:, 0]), sectors)
             return (moved, s2) if full is s1 else (s1, moved)
     return _full_basis(s1), _full_basis(s2)
 
 
-def _diagonal_smatrix(
-    beams: BeamSet, mat_left: Material, mat_right: Material, tpp, rpm, rmp, tmm
-) -> LayerS:
+def _diagonal_smatrix(beams: BeamSet, mat_right: Material, tpp, rpm, rmp, tmm) -> LayerS:
     """Full-basis LayerS whose four blocks are diagonal, from their (2n,) diagonals or scalars."""
     n = 2 * beams.n_beams
     diags = []
     for d in (tpp, rpm, rmp, tmm):
         d = np.asarray(d, dtype=complex)
         diags.append((d if d.shape == (n,) else np.full(n, d))[None])
-    return LayerS(beams, mat_left, mat_right, tuple(diags))
+    return LayerS(beams, mat_right, tuple(diags))
 
 
 def identity_smatrix(beams: BeamSet) -> LayerS:
-    return _diagonal_smatrix(beams, beams.ambient, beams.ambient, 1.0, 0.0, 0.0, 1.0)
+    return _diagonal_smatrix(beams, beams.ambient, 1.0, 0.0, 0.0, 1.0)
 
 
 def beam_kz(beams: BeamSet, mat: Material) -> np.ndarray:
@@ -395,22 +392,19 @@ def sphere_plane_smatrix(plane: PlaneOfSpheres, beams: BeamSet, lmax: int) -> La
     host = plane.scatterer.host
     if beams.ambient.eps != host.eps:
         raise InvalidArgumentError("beams must live in the sphere host medium")
-    omega = beams.omega
-    k = host.wavenumber(omega)
-    omega_mat = structure_constants(plane.lattice, omega, beams.kpar, host, lmax)
-    t_e, t_m = mie_t(plane.scatterer, omega, lmax)
+    omega_mat = structure_constants(plane.lattice, beams.omega, beams.kpar, host, lmax)
+    t_e, t_m = mie_t(plane.scatterer, beams.omega, lmax)
     lidx = np.array([l for l, _ in vswf.lm_list(lmax)])
     tdiag = np.concatenate([t_m[lidx - 1], t_e[lidx - 1]])
-    area = plane.lattice.area
     sectors = beam_sectors(beams)
     if sectors is None:
         tdiag, omega_mat = tdiag[None], omega_mat[None]
-        maps = [x[None] for x in _beam_multipole_maps(beams, k, area, lmax)]
+        maps = [x[None] for x in _beam_multipole_maps(beams, lmax)]
     else:
         tdiag = tdiag[multipole_sectors(lmax).idx[0]]
         omega_mat = _fold(omega_mat, _omega_fold(lmax))
         rep, recipe = _maps_fold(beams.mirror, sectors, lmax)
-        a_plus, a_minus, c_up, c_down = _beam_multipole_maps(beams, k, area, lmax, rep)
+        a_plus, a_minus, c_up, c_down = _beam_multipole_maps(beams, lmax, rep)
         folded = _fold(np.stack([a_plus.T, a_minus.T, c_up, c_down]), recipe)
         maps = [*folded[:2].transpose(0, 1, 3, 2), *folded[2:]]
     scatter = _solve_reported(
@@ -422,12 +416,8 @@ def sphere_plane_smatrix(plane: PlaneOfSpheres, beams: BeamSet, lmax: int) -> La
     b_plus = scatter @ a_plus
     b_minus = scatter @ a_minus
     eye = np.eye(c_up.shape[-2], dtype=complex)
-    centred = LayerS(
-        beams, host, host,
-        (eye + c_up @ b_plus, c_down @ b_plus, c_up @ b_minus, eye + c_down @ b_minus),
-        sectors,
-    )
-    return displaced_smatrix(centred, plane.offset)
+    blocks = (eye + c_up @ b_plus, c_down @ b_plus, c_up @ b_minus, eye + c_down @ b_minus)
+    return displaced_smatrix(LayerS(beams, host, blocks, sectors), plane.offset)
 
 
 def displaced_smatrix(s: LayerS, offset) -> LayerS:
@@ -447,10 +437,10 @@ def displaced_smatrix(s: LayerS, offset) -> LayerS:
     d = np.repeat(np.exp(1j * (s.beams.kt @ np.asarray(offset, dtype=float))), 2)
     d = d[None] if s.sectors is None else d[s.sectors.idx[0]]
     blocks = tuple((1.0 / d)[..., :, None] * b * d[..., None, :] for b in s.blocks)
-    return LayerS(s.beams, s.mat_left, s.mat_right, blocks, s.sectors)
+    return LayerS(s.beams, s.mat_right, blocks, s.sectors)
 
 
-def _beam_multipole_maps(beams: BeamSet, k: complex, area: float, lmax: int, which=slice(None)):
+def _beam_multipole_maps(beams: BeamSet, lmax: int, which=slice(None)):
     """Plane-wave <-> multipole maps of the beams ``which`` for a plane at the origin.
 
     Returns (a_plus, a_minus, c_up, c_down): the regular-expansion columns
@@ -459,13 +449,14 @@ def _beam_multipole_maps(beams: BeamSet, k: complex, area: float, lmax: int, whi
     beams travelling up (+z) and down (-z); n counts the beams selected.
     """
     nv = vswf.nlm(lmax)
+    k = beams.ambient.wavenumber(beams.omega)
     kt = beams.kt[which]
     kz = beams.kz[which]
     n = kz.size
     sqrt_kz = branch_sqrt_array(kz)
     ktn = np.hypot(kt[:, 0], kt[:, 1])
     phi = np.where(ktn > 1e-12, np.arctan2(kt[:, 1], kt[:, 0]), 0.0)
-    c_pref = 2.0 * math.pi / (area * k * kz)
+    c_pref = 2.0 * math.pi / (beams.lattice.area * k * kz)
 
     # axes (sign, beam, polarization, channel); sign 0 travels toward +z,
     # sign 1 toward -z.  One Y_lm table serves incident and outgoing maps.
@@ -502,12 +493,11 @@ def _fresnel(left, right, epsl: complex, epsr: complex):
     return tuple(np.stack(pair, axis=1).ravel() for pair in pairs)
 
 
-def interface_smatrix(mat_left: Material, mat_right: Material, beams: BeamSet) -> LayerS:
-    """Fresnel S-matrix of a planar dielectric interface, per beam and pol."""
-    r, t, rb, tb = _fresnel(
-        _kz_roots(beams, mat_left), _kz_roots(beams, mat_right), mat_left.eps, mat_right.eps
-    )
-    return _diagonal_smatrix(beams, mat_left, mat_right, t, r, rb, tb)
+def interface_smatrix(right: Material, beams: BeamSet) -> LayerS:
+    """Fresnel S-matrix, per beam and pol, of the interface from beams.ambient into ``right``."""
+    left = beams.ambient
+    r, t, rb, tb = _fresnel(_kz_roots(beams, left), _kz_roots(beams, right), left.eps, right.eps)
+    return _diagonal_smatrix(beams, right, t, r, rb, tb)
 
 
 def gap_smatrix(distance: float, beams: BeamSet) -> LayerS:
@@ -515,7 +505,7 @@ def gap_smatrix(distance: float, beams: BeamSet) -> LayerS:
     if distance < 0:
         raise InvalidArgumentError(f"distance must be >= 0, got {distance}")
     phase = np.repeat(np.exp(1j * beams.kz * distance), 2)
-    return _diagonal_smatrix(beams, beams.ambient, beams.ambient, phase, 0.0, 0.0, phase)
+    return _diagonal_smatrix(beams, beams.ambient, phase, 0.0, 0.0, phase)
 
 
 def plate_smatrix(plate: Plate, beams: BeamSet) -> LayerS:
@@ -533,7 +523,7 @@ def plate_smatrix(plate: Plate, beams: BeamSet) -> LayerS:
     r2, t2, r2b, t2b = r1b, t1b, r1, t1
     den = 1.0 - r1b * r2 * ph * ph
     return _diagonal_smatrix(
-        beams, amb, amb,
+        beams, amb,
         tpp=t1 * t2 * ph / den,
         rpm=r1 + t1 * r2 * t1b * ph * ph / den,
         rmp=r2b + t2 * r1b * t2b * ph * ph / den,
@@ -562,7 +552,7 @@ def _diagonal_star(s1: LayerS, s2: LayerS, context: str) -> LayerS:
     x12 = tpp1 / den
     x21 = tmm2 / den
     blocks = (tpp2 * x12, rpm1 + tmm1 * rpm2 * x12, rmp2 + tpp2 * rmp1 * x21, tmm1 * x21)
-    return LayerS(s1.beams, s1.mat_left, s2.mat_right, blocks, s1.sectors)
+    return LayerS(s1.beams, s2.mat_right, blocks, s1.sectors)
 
 
 def star_product(s1: LayerS, s2: LayerS) -> LayerS:
@@ -586,17 +576,17 @@ def star_product(s1: LayerS, s2: LayerS) -> LayerS:
         t1, m1 = t1[..., None, :], m1[..., None]  # column and row scaling
         tpp2, rpm2, rmp2, tmm2 = s2.blocks
         blocks = (tpp2 * t1, m1 * rpm2 * t1, rmp2, m1 * tmm2)
-        return LayerS(s1.beams, s1.mat_left, s2.mat_right, blocks, sectors)
+        return LayerS(s1.beams, s2.mat_right, blocks, sectors)
     if s2.reflectionless:
         tpp1, rpm1, rmp1, tmm1 = s1.blocks
         t2, _, _, m2 = s2.blocks
         t2, m2 = t2[..., None], m2[..., None, :]
         blocks = (t2 * tpp1, rpm1, t2 * rmp1 * m2, tmm1 * m2)
-        return LayerS(s1.beams, s1.mat_left, s2.mat_right, blocks, sectors)
+        return LayerS(s1.beams, s2.mat_right, blocks, sectors)
     tpp1, rpm1, rmp1, tmm1 = (s1.stacked(i) for i in range(4))
     tpp2, rpm2, rmp2, tmm2 = (s2.stacked(i) for i in range(4))
     eye = np.eye(tpp1.shape[-1], dtype=complex)
     x12 = _solve_reported(eye - rmp1 @ rpm2, tpp1, context)
     x21 = _solve_reported(eye - rpm2 @ rmp1, tmm2, context)
     blocks = (tpp2 @ x12, rpm1 + tmm1 @ rpm2 @ x12, rmp2 + tpp2 @ rmp1 @ x21, tmm1 @ x21)
-    return LayerS(s1.beams, s1.mat_left, s2.mat_right, blocks, sectors)
+    return LayerS(s1.beams, s2.mat_right, blocks, sectors)

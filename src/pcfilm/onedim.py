@@ -93,10 +93,10 @@ def stack_matrix(
     ambient: Material = VACUUM,
     exit: Material = VACUUM,
 ) -> OneDimMatrix:
-    """Ordered product over the stack including the outer interface matrices."""
-    layers = list(layers)
-    if not layers:
-        raise InvalidArgumentError("stack must contain at least one layer")
+    """Ordered product over the stack including the outer interface matrices.
+
+    An empty stack is the bare interface from the ambient to the exit medium.
+    """
     kx = omega * ambient.n.real * math.sin(theta0)
     m = np.eye(2, dtype=complex)
     for layer in layers:

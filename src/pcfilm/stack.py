@@ -10,6 +10,7 @@ an interface onto ``exit`` when the last ambient differs.  Solves compose it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +52,8 @@ class Repeat:
     count: int
 
     def __post_init__(self):
+        if not isinstance(self.count, numbers.Integral):
+            raise InvalidArgumentError(f"count must be an integer, got {self.count!r}")
         if self.count < 0:
             raise InvalidArgumentError(f"count must be >= 0, got {self.count}")
 
@@ -126,7 +129,7 @@ def repeat_slice(s: LayerS, n: int) -> LayerS:
     """n-fold star-power of a self-composable slice, by binary doubling."""
     if n < 0:
         raise InvalidArgumentError(f"repeat count must be >= 0, got {n}")
-    if s.mat_left.eps != s.mat_right.eps:
+    if s.beams.ambient.eps != s.mat_right.eps:
         raise InvalidArgumentError("repeat_slice requires the same ambient on both sides")
     if n == 0:
         return identity_smatrix(s.beams)
@@ -256,7 +259,7 @@ class _LayerBuilder:
     def build(self, step: Step) -> LayerS:
         el = step.element
         if isinstance(el, Interface):
-            return ly.interface_smatrix(el.left, el.right, self.beams_in(el.left))
+            return ly.interface_smatrix(el.right, self.beams_in(step.ambient))
         if isinstance(el, Gap):
             return ly.gap_smatrix(el.distance, self.beams_in(step.ambient))
         if isinstance(el, Plate):
@@ -310,14 +313,13 @@ def _extract_point(
         raise PcfilmError("incident beam missing from beam set") from exc
     col = 2 * j0 + (0 if pol == "s" else 1)
 
-    kz_in = ly.beam_kz(beams, desc.incident)
-    prop_in = kz_in.imag == 0.0
     # in the mirror sectors, s lies in the odd and p in the even sector
     r_amp = total.column(1, col)
     t_amp = total.column(0, col)
     if not (np.all(np.isfinite(r_amp)) and np.all(np.isfinite(t_amp))):
         raise PcfilmError("non-finite amplitudes in stack solution")
-    mask_in = np.repeat(prop_in, 2)
+    # the total's beams are its first layer's, in desc.incident
+    mask_in = np.repeat(beams.propagating, 2)
     R = float(np.sum(np.abs(r_amp[mask_in]) ** 2))
     if desc.exit_is_opaque:
         T = 0.0

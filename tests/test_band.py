@@ -16,7 +16,7 @@ from pcfilm.errors import InvalidArgumentError
 from pcfilm.lattice import SQUARE, beam_set
 from pcfilm.layer import Plate, gap_smatrix
 from pcfilm.mie import Material, VACUUM
-from pcfilm.stack import NumericalControls, slice_smatrix
+from pcfilm.stack import Gap, Interface, NumericalControls, slice_smatrix
 
 EPS1, D1 = 2.6, 0.6
 EPS2, D2 = 1.44, 0.81
@@ -119,6 +119,20 @@ class TestComplexBands:
         bp = complex_bands(_unit_slice(1.0), PERIOD, 1.0, (0.0, 0.0))
         perm = overlap_permutation(bp, bp)
         assert list(perm) == list(range(len(bp.kz_list)))
+
+
+class TestSliceAmbients:
+    def test_other_ambient_on_the_right_rejected(self):
+        omega = 0.9
+        unit = slice_smatrix(
+            [Interface(VACUUM, Material(2.25)), Gap(0.3)],
+            VACUUM,
+            omega,
+            (0.0, 0.0),
+            NumericalControls(lmax=1, cutoff=omega + 2 * math.pi),
+        )
+        with pytest.raises(InvalidArgumentError, match="unit slice must have the same ambient"):
+            complex_bands(unit, 0.3, omega, (0.0, 0.0))
 
 
 class TestGapEdges:

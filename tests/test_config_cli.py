@@ -16,6 +16,7 @@ from pcfilm.stack import NumericalControls, slice_smatrix
 
 SLAB = Path(__file__).resolve().parent / "data" / "slab.cfg"
 REPEATED_SLAB = SLAB.with_name("repeated-slab.cfg")
+BARE_INTERFACE = SLAB.with_name("bare-interface.cfg")
 
 GOOD = """[materials]
 m1 = 2.6
@@ -485,10 +486,14 @@ class TestCli:
         report = (out / "validate.txt").read_text()
         assert "pass" in report.lower()
 
-    @pytest.mark.parametrize("config", [SLAB, REPEATED_SLAB], ids=["slab", "repeated-slab"])
+    @pytest.mark.parametrize(
+        "config",
+        [SLAB, REPEATED_SLAB, BARE_INTERFACE],
+        ids=["slab", "repeated-slab", "bare-interface"],
+    )
     def test_validate_sphere_free_film_runs_dual_engine(self, tmp_path, config):
         # interfaces and a gap around a plate, once in the repeated unit: no
-        # sphere plane, not plates only
+        # sphere plane, not plates only; and a bare interface, no layer at all
         out = tmp_path / "val"
         assert main(["validate", "--config", str(config), "--out", str(out)]) == 0
         report = (out / "validate.txt").read_text()

@@ -113,6 +113,12 @@ class TestSolveOnedim:
         assert T == 0.0
         assert A == pytest.approx(1.0 - R, abs=1e-12)
 
+    def test_empty_stack_is_the_bare_interface(self):
+        # no layer at all: the ambient-to-exit interface, the identity product
+        R, T, A = solve_onedim([], 1.0, 0.0, "s", VACUUM, Material(2.25))
+        assert R == pytest.approx(fresnel_power_reflectance(2.25), abs=1e-15)
+        assert T == pytest.approx(1.0 - R, abs=1e-15)
+
     @given(
         eps=st.lists(st.floats(1.0, 16.0), min_size=1, max_size=5),
         ds=st.lists(st.floats(0.05, 1.5), min_size=5, max_size=5),

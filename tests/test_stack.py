@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from pcfilm.stack import (
 )
 
 OM = 0.9
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def _vac_beams(omega=OM):
@@ -119,6 +121,18 @@ class TestRepeatSlice:
     def test_negative_rejected(self):
         with pytest.raises(InvalidArgumentError):
             repeat_slice(gap_smatrix(0.5, _vac_beams()), -1)
+
+    def test_other_ambient_on_the_right_rejected(self):
+        elements = [Interface(VACUUM, Material(2.25)), Gap(0.3)]
+        s = slice_smatrix(elements, VACUUM, OM, (0.0, 0.0), NumericalControls())
+        with pytest.raises(InvalidArgumentError, match="repeat_slice requires the same ambient"):
+            repeat_slice(s, 2)
+
+    @pytest.mark.parametrize("count", [2.5, 2.0])
+    def test_non_integer_count_rejected(self, count):
+        # a float count used to fail at the first solve, in repeat_slice
+        with pytest.raises(InvalidArgumentError, match="count must be an integer"):
+            Repeat((Plate(0.3, Material(2.0)),), count)
 
     def test_doubling_vs_naive_chain(self):
         beams = _vac_beams()
@@ -385,6 +399,35 @@ class TestWalkSteps:
             el.distance if isinstance(el, Gap) else (el.thickness if isinstance(el, Plate) else 0.0)
             for el in want_unit
         )
+
+
+class TestTotalBeams:
+    """A stack's S-matrix keeps its first layer's beams, in the incident medium.
+
+    Reflectance is read off those beams' propagating mask.
+    """
+
+    @staticmethod
+    def _check(desc, omega, theta, controls):
+        total = stack_smatrix(desc, omega, (omega * math.sin(theta), 0.0), controls)
+        assert total.beams.ambient == desc.incident
+        kz_in = ly.beam_kz(total.beams, desc.incident)
+        assert np.array_equal(total.beams.propagating, kz_in.imag == 0.0)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["paper-fig2", "paper-fig3", "paper-fig4", DATA / "slab.cfg", DATA / "repeated-slab.cfg"],
+        ids=["paper-fig2", "paper-fig3", "paper-fig4", "slab", "repeated-slab"],
+    )
+    def test_scenes(self, name):
+        scene = sc.preset(name) if isinstance(name, str) else sc.parse_config(name.read_text())
+        omega = float(scene.omega_internal(scene.omega_display_grid())[0])
+        self._check(scene.build_stack(), omega, 0.3, scene.controls())
+
+    def test_stack_opening_with_an_empty_repeat(self):
+        unit = (Interface(_GLASS, _DENSE), Gap(0.2), Interface(_DENSE, _GLASS))
+        desc = StackDescription((Repeat(unit, 0), Gap(0.1)), incident=_GLASS, exit=VACUUM)
+        self._check(desc, OM, 0.3, NumericalControls(lmax=2))
 
 
 def _record_calls(monkeypatch, module, name):
