@@ -17,9 +17,7 @@ import numpy as np
 
 from . import band as bd
 from . import scenes as sc
-from .emissivity import (
-    PLANCK_PEAK_X, POLS, GridPointError, angular_map, planck_b, planck_weight, run_grid,
-)
+from .emissivity import PLANCK_PEAK_X, POLS, angular_map, planck_b, planck_weight, run_grid
 from .errors import PcfilmError
 from .mie import Material, SphereScatterer, mie_cross_sections, mie_t
 from .onedim import OneDimLayer, solve_onedim
@@ -59,17 +57,10 @@ def _grid_points(scene: sc.Scene):
 
 def _angular_map(scene: sc.Scene, om_disp, th, threads: int = 1):
     """EmissivityMap at displayed omegas and angles th (rad), failures named as displayed."""
-    try:
-        return angular_map(
-            scene.build_stack(), scene.omega_internal(om_disp), th, scene.controls(),
-            math.radians(scene.phi_deg), threads,
-        )
-    except GridPointError as exc:
-        i, j = exc.index
-        raise PcfilmError(
-            f"emissivity failed at omega={om_disp[i]}, theta={np.degrees(th[j])} deg: "
-            f"{exc.__cause__}"
-        ) from exc
+    return angular_map(
+        scene.build_stack(), scene.omega_internal(om_disp), th, scene.controls(),
+        math.radians(scene.phi_deg), threads, om_disp,
+    )
 
 
 def cmd_spectrum(scene: sc.Scene, out: Path, threads: int) -> list[Path]:

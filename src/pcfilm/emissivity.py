@@ -83,17 +83,21 @@ def angular_map(
     controls: NumericalControls | None = None,
     phi: float = 0.0,
     threads: int = 1,
+    omega_shown=None,
 ) -> EmissivityMap:
     """R, T, A for s and p over the full (omega, theta) grid.
 
     Points are assembled by grid index, so the result does not depend on
-    ``threads``.  A failing point raises GridPointError naming its omega and
-    its theta in degrees.
+    ``threads``.  A failing point raises GridPointError naming its theta in
+    degrees and its omega as ``omega_shown`` gives it (the caller's units of
+    omega_grid), or as in omega_grid.
     """
     omega_grid = np.asarray(omega_grid, dtype=float)
     theta_grid = np.asarray(theta_grid, dtype=float)
     if omega_grid.size == 0 or theta_grid.size == 0:
         raise InvalidArgumentError("grids must be nonempty")
+    if omega_shown is None:
+        omega_shown = omega_grid
     tasks = [(i, j) for i in range(omega_grid.size) for j in range(theta_grid.size)]
 
     def point(task):
@@ -104,7 +108,7 @@ def angular_map(
     def describe(task):
         i, j = task
         theta_deg = math.degrees(theta_grid[j])
-        return f"emissivity failed at omega={omega_grid[i]}, theta={theta_deg} deg"
+        return f"emissivity failed at omega={omega_shown[i]}, theta={theta_deg} deg"
 
     results = run_grid(point, tasks, threads, describe)
     shape = (omega_grid.size, theta_grid.size, len(POLS))

@@ -18,7 +18,7 @@ with plain orthonormal Y_LM factors and the head resums in reciprocal space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -68,11 +68,13 @@ SQUARE = Lattice2D((1.0, 0.0), (0.0, 1.0))
 TRIANGULAR = Lattice2D((1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0))
 
 
+@lru_cache(maxsize=64)
 def reciprocal_basis(lat: Lattice2D) -> tuple[np.ndarray, np.ndarray]:
-    """Reciprocal vectors with b_i . a_j = 2 pi delta_ij."""
+    """Reciprocal vectors with b_i . a_j = 2 pi delta_ij, read-only."""
     c = lat.cross
     b1 = (2.0 * math.pi / c) * np.array([lat.a2[1], -lat.a2[0]])
     b2 = (2.0 * math.pi / c) * np.array([-lat.a1[1], lat.a1[0]])
+    b1.flags.writeable = b2.flags.writeable = False
     return b1, b2
 
 
@@ -88,22 +90,27 @@ def mirror_fixed(lat: Lattice2D, offset=(0.0, 0.0)) -> bool:
     return bool(np.abs(n - np.rint(n)).max() <= 1e-9)
 
 
+_WINDOW = np.repeat(np.arange(-2, 3), 5), np.tile(np.arange(-2, 3), 5)
+
+
 def fold_to_zone(lat: Lattice2D, kpar) -> tuple[np.ndarray, tuple[int, int]]:
     """Fold kpar into the first Brillouin zone.
 
     Returns (folded kpar, (n1, n2)) with folded = kpar + n1 b1 + n2 b2 and
-    |folded| minimal; ties broken lexicographically on (n1, n2).
+    |folded| minimal; ties broken lexicographically on (n1, n2).  The search
+    runs over the 5 x 5 window around minus the rounded coordinates
+    kpar . a_i / 2 pi of kpar in (b1, b2).
     """
     kpar = np.asarray(kpar, dtype=float)
     b1, b2 = reciprocal_basis(lat)
-    bmat = np.column_stack([b1, b2])
-    frac = np.linalg.solve(bmat, kpar)
-    n0 = -np.round(frac).astype(int)
-    d = np.arange(-2, 3)
-    n1 = n0[0] + np.repeat(d, 5)
-    n2 = n0[1] + np.tile(d, 5)
+    kx, ky = kpar
+    n1 = _WINDOW[0] - round((kx * lat.a1[0] + ky * lat.a1[1]) / (2.0 * math.pi))
+    n2 = _WINDOW[1] - round((kx * lat.a2[0] + ky * lat.a2[1]) / (2.0 * math.pi))
     v = kpar + n1[:, None] * b1 + n2[:, None] * b2
-    best = _sorted_by_norm(beam_kt2(v), n1, n2)[0]
+    kt2 = beam_kt2(v)
+    # only candidates within rounding of the least norm can share its key
+    near = np.flatnonzero(kt2 <= kt2.min() * (1.0 + 1e-9) + 1e-9)
+    best = near[_sorted_by_norm(kt2[near], n1[near], n2[near])[0]]
     return v[best], (int(n1[best]), int(n2[best]))
 
 
@@ -132,8 +139,10 @@ class BeamSet:
     ambient: Material
     g_ints: tuple[tuple[int, int], ...]
     kt: np.ndarray          # (n, 2) in-plane wave vectors kpar + g
+    kt2: np.ndarray         # (n,) |kt|^2, rounded as beam_kt2
     kz: np.ndarray          # (n,) complex, branch rule
     propagating: np.ndarray  # (n,) bool
+    _roots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_beams(self) -> int:
@@ -154,6 +163,21 @@ class BeamSet:
         image.flags.writeable = False
         return None if (image < 0).any() else image
 
+    def roots(self, mat: Material) -> tuple[np.ndarray, np.ndarray]:
+        """(kz, sqrt kz) of every beam in a homogeneous medium, read-only.
+
+        Computed once per medium from eps omega**2 - |kt|^2, so the layers
+        of a point share them.  In the ambient this kz may differ from
+        ``kz`` in the last bit: beam_set squares omega as omega * omega.
+        """
+        roots = self._roots.get(mat)
+        if roots is None:
+            kz = branch_sqrt_array(mat.eps * self.omega**2 - self.kt2)
+            roots = self._roots[mat] = kz, branch_sqrt_array(kz)
+            for x in roots:
+                x.flags.writeable = False
+        return roots
+
 
 def beam_set(lat: Lattice2D, omega: float, kpar, ambient: Material, cutoff: float) -> BeamSet:
     """All diffraction orders g with |kpar+g| <= cutoff, kpar folded first."""
@@ -169,34 +193,41 @@ def beam_set(lat: Lattice2D, omega: float, kpar, ambient: Material, cutoff: floa
             f"cutoff {cutoff} < omega*sqrt|eps| = {omega * math.sqrt(abs(ambient.eps))}"
         )
     kf, shift = fold_to_zone(lat, kpar)
-    if math.hypot(*kf) > cutoff:
+    kf_norm = math.hypot(*kf)
+    if kf_norm > cutoff:
         raise InvalidArgumentError("cutoff too small to include the specular beam")
-    b1, b2 = reciprocal_basis(lat)
-    # generous integer search box, then filter by the circle
-    bmin = min(np.linalg.norm(b1), np.linalg.norm(b2))
-    nbox = int(math.ceil((cutoff + math.hypot(*kf)) / bmin * 2.0)) + 2
-    box = np.arange(-nbox, nbox + 1)
-    n1, n2 = (n.ravel() for n in np.meshgrid(box, box, indexing="ij"))
-    g = n1[:, None] * b1 + n2[:, None] * b2
+    # a kept g has |g| <= cutoff + |kf|, and n_i = g . a_i / 2 pi
+    reach = (cutoff + kf_norm) / (2.0 * math.pi)
+    n1, n2, g = _box(lat, *(int(reach * math.hypot(*a)) + 1 for a in (lat.a1, lat.a2)))
     kt = kf + g
     kt2 = beam_kt2(kt)
     keep = np.flatnonzero(kt2 <= cutoff * cutoff + 1e-12)
     keep = keep[_sorted_by_norm(kt2[keep], n1[keep], n2[keep])]
-    g_ints = tuple((int(i), int(j)) for i, j in zip(n1[keep], n2[keep]))
-    kt = kt[keep]
-    kz = branch_sqrt_array(k2 - kt2[keep])
-    prop = kz.imag == 0.0
+    kt2 = kt2[keep]
+    kz = branch_sqrt_array(k2 - kt2)
     return BeamSet(
         lattice=lat,
         omega=omega,
         kpar=(float(kf[0]), float(kf[1])),
         fold_shift=shift,
         ambient=ambient,
-        g_ints=g_ints,
-        kt=kt,
+        g_ints=tuple(zip(n1[keep].tolist(), n2[keep].tolist())),
+        kt=kt[keep],
+        kt2=kt2,
         kz=kz,
-        propagating=prop,
+        propagating=kz.imag == 0.0,
     )
+
+
+@lru_cache(maxsize=64)
+def _box(lat: Lattice2D, m1: int, m2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Integer pairs (n1, n2) with |n1| <= m1, |n2| <= m2 and their g = n1 b1 + n2 b2, read-only."""
+    box = np.meshgrid(np.arange(-m1, m1 + 1), np.arange(-m2, m2 + 1), indexing="ij")
+    n1, n2 = (n.ravel() for n in box)
+    b1, b2 = reciprocal_basis(lat)
+    g = n1[:, None] * b1 + n2[:, None] * b2
+    n1.flags.writeable = n2.flags.writeable = g.flags.writeable = False
+    return n1, n2, g
 
 
 def _inc_gamma_half(nmax: int, x, sqrt_x) -> np.ndarray:

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import vswf
 from .errors import InvalidArgumentError, SingularSolveError
-from .lattice import BeamSet, Lattice2D, beam_kt2, mirror_fixed, structure_constants
+from .lattice import BeamSet, Lattice2D, mirror_fixed, structure_constants
 from .mie import Material, SphereScatterer, branch_sqrt, branch_sqrt_array, mie_t
 
 # Largest accepted condition number of a solve.  For a dense solve what is
@@ -248,10 +248,15 @@ class LayerS:
         return _embed_diagonal(b) if b.ndim == 2 else b
 
     def column(self, i: int, c: int) -> np.ndarray:
-        """Column c of the full-basis block i."""
-        if self.sectors is None:
-            return getattr(self, _BLOCK_NAMES[i])[:, c]
-        return self.sectors.unfold_column(self.stacked(i), c)
+        """Column c of the full-basis block i, read without building the whole block."""
+        if self.sectors is not None:
+            return self.sectors.unfold_column(self.stacked(i), c)
+        b = self.blocks[i][0]
+        if b.ndim == 2:
+            return b[:, c]
+        col = np.zeros_like(b)
+        col[c] = b[c]
+        return col
 
     def _dense(self, i: int) -> np.ndarray:
         b = self.stacked(i)
@@ -312,9 +317,8 @@ def identity_smatrix(beams: BeamSet) -> LayerS:
 
 
 def beam_kz(beams: BeamSet, mat: Material) -> np.ndarray:
-    """kz of every beam in a (possibly different) homogeneous medium."""
-    k2 = mat.eps * beams.omega**2
-    return branch_sqrt_array(k2 - beam_kt2(beams.kt))
+    """kz of every beam in a (possibly different) homogeneous medium, read-only."""
+    return beams.roots(mat)[0]
 
 
 def _pol_vectors(kt: np.ndarray, kz: np.ndarray, k: complex, sign: int) -> np.ndarray:
@@ -469,18 +473,13 @@ def _beam_multipole_maps(beams: BeamSet, lmax: int, which=slice(None)):
     return a_plus, a_minus, c_up, c_down
 
 
-def _kz_roots(beams: BeamSet, mat: Material) -> tuple[np.ndarray, np.ndarray]:
-    """(kz, sqrt kz) of every beam in a homogeneous medium."""
-    kz = beam_kz(beams, mat)
-    return kz, branch_sqrt_array(kz)
-
-
 def _fresnel(left, right, epsl: complex, epsr: complex):
     """Flux-normalized Fresnel coefficients (r, t, r_back, t_back) of every beam.
 
-    ``left`` and ``right`` are the _kz_roots of the two media; r and t act
-    left-to-right, r_back and t_back right-to-left.  All four are (2n,)
-    arrays in the (beam, polarization) basis order, s then p per beam.
+    ``left`` and ``right`` are the BeamSet.roots of the two media; r and t
+    act left-to-right, r_back and t_back right-to-left.  All four are (2n,)
+    rows of one array, in the (beam, polarization) basis order, s then p
+    per beam.
     """
     (kzl, ql), (kzr, qr) = left, right
     nl, nr = branch_sqrt(epsl), branch_sqrt(epsr)
@@ -489,14 +488,14 @@ def _fresnel(left, right, epsl: complex, epsr: complex):
     flux, flux_b = qr / ql, ql / qr
     ts, tp = 2.0 * kzl / ss * flux, 2.0 * nl * nr * kzl / pp * flux
     ts_b, tp_b = 2.0 * kzr / ss * flux_b, 2.0 * nr * nl * kzr / pp * flux_b
-    pairs = ((rs, rp), (ts, tp), (-rs, -rp), (ts_b, tp_b))
-    return tuple(np.stack(pair, axis=1).ravel() for pair in pairs)
+    out = np.stack([rs, rp, ts, tp, -rs, -rp, ts_b, tp_b])
+    return out.reshape(4, 2, -1).transpose(0, 2, 1).reshape(4, -1)
 
 
 def interface_smatrix(right: Material, beams: BeamSet) -> LayerS:
     """Fresnel S-matrix, per beam and pol, of the interface from beams.ambient into ``right``."""
     left = beams.ambient
-    r, t, rb, tb = _fresnel(_kz_roots(beams, left), _kz_roots(beams, right), left.eps, right.eps)
+    r, t, rb, tb = _fresnel(beams.roots(left), beams.roots(right), left.eps, right.eps)
     return _diagonal_smatrix(beams, right, t, r, rb, tb)
 
 
@@ -517,9 +516,9 @@ def plate_smatrix(plate: Plate, beams: BeamSet) -> LayerS:
     front-interface reflection.
     """
     amb, mat = beams.ambient, plate.material
-    mid = _kz_roots(beams, mat)
+    mid = beams.roots(mat)
     ph = np.repeat(np.exp(1j * mid[0] * plate.thickness), 2)
-    r1, t1, r1b, t1b = _fresnel(_kz_roots(beams, amb), mid, amb.eps, mat.eps)
+    r1, t1, r1b, t1b = _fresnel(beams.roots(amb), mid, amb.eps, mat.eps)
     r2, t2, r2b, t2b = r1b, t1b, r1, t1
     den = 1.0 - r1b * r2 * ph * ph
     return _diagonal_smatrix(

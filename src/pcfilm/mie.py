@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,9 +25,12 @@ def branch_sqrt(w: complex) -> complex:
 
 
 def branch_sqrt_array(w) -> np.ndarray:
-    """branch_sqrt applied elementwise to an array."""
+    """branch_sqrt applied elementwise to an array.
+
+    The principal root never has Re < 0, so only Im < 0 flips the sign.
+    """
     s = np.sqrt(np.asarray(w, dtype=complex))
-    return np.where((s.imag < 0) | ((s.imag == 0) & (s.real < 0)), -s, s)
+    return np.negative(s, out=s, where=s.imag < 0)
 
 
 @dataclass(frozen=True)
@@ -72,12 +76,15 @@ class SphereScatterer:
             raise InvalidArgumentError(f"radius must be > 0, got {self.radius}")
 
 
+@lru_cache(maxsize=128)
 def mie_t(sphere: SphereScatterer, omega: float, lmax: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-channel Mie T-matrix elements (T_E, T_M), each indexed l = 1..lmax.
 
     T maps the amplitude of a regular incident multipole to the amplitude of
     the outgoing scattered multipole; |1 + 2 T_l| = 1 for lossless media.
     Index convention: returned arrays have length lmax with entry [l-1].
+    They are cached per (sphere, omega, lmax), since every angle of a sweep
+    asks for the same ones, and read-only.
     """
     if not omega > 0:
         raise InvalidArgumentError(f"omega must be > 0, got {omega}")
@@ -87,7 +94,8 @@ def mie_t(sphere: SphereScatterer, omega: float, lmax: int) -> tuple[np.ndarray,
     k_in = sphere.inside.wavenumber(omega)
     if sphere.inside.eps == sphere.host.eps:
         z = np.zeros(lmax, dtype=complex)
-        return z, z.copy()
+        z.flags.writeable = False
+        return z, z
     x = k_out * sphere.radius
     y = k_in * sphere.radius
     m = k_in / k_out
@@ -110,6 +118,7 @@ def mie_t(sphere: SphereScatterer, omega: float, lmax: int) -> tuple[np.ndarray,
     )
     t_e = -a
     t_m = -b
+    t_e.flags.writeable = t_m.flags.writeable = False
     return t_e, t_m
 
 

@@ -21,12 +21,18 @@ from pcfilm.lattice import (
     reciprocal_basis,
     structure_constants,
 )
-from pcfilm.mie import Material, branch_sqrt
+from pcfilm.mie import VACUUM, Material, branch_sqrt
 from pcfilm.vswf import lm_list, nlm, translation_matrix
 
 
-def _beam_set_loop(lat, omega, kpar, ambient, cutoff):
-    """(g_ints, kz) of beam_set, one integer pair at a time (reference)."""
+def _beam_set_loop(lat, omega, kpar, ambient, cutoff, nbox=None):
+    """(g_ints, kt, kz) of beam_set, one integer pair at a time (reference).
+
+    It folds kpar with a 2 x 2 solve and searches the square integer box
+    |n1|, |n2| <= nbox, by default 2 (cutoff + |kf|) / min |b| + 2.  That
+    box covers every beam when the cell angle lies in [30, 150] degrees,
+    where |a1| |a2| <= 2 |a1 x a2|, and may miss some outside it.
+    """
     b1, b2 = reciprocal_basis(lat)
     kpar = np.asarray(kpar, dtype=float)
     n0 = -np.round(np.linalg.solve(np.column_stack([b1, b2]), kpar)).astype(int)
@@ -36,17 +42,43 @@ def _beam_set_loop(lat, omega, kpar, ambient, cutoff):
             v = kpar + n1 * b1 + n2 * b2
             folds.append((round(float(v @ v), 12), n1, n2, v))
     kf = min(folds, key=lambda e: e[:3])[3]
-    nbox = int(math.ceil((cutoff + math.hypot(*kf)) / min(np.linalg.norm(b1), np.linalg.norm(b2)) * 2)) + 2
+    if nbox is None:
+        bmin = min(np.linalg.norm(b1), np.linalg.norm(b2))
+        nbox = int(math.ceil((cutoff + math.hypot(*kf)) / bmin * 2)) + 2
     entries = []
     for n1 in range(-nbox, nbox + 1):
         for n2 in range(-nbox, nbox + 1):
             kt = kf + (n1 * b1 + n2 * b2)
             kt2 = float(kt @ kt)
             if kt2 <= cutoff * cutoff + 1e-12:
-                entries.append((round(kt2, 12), n1, n2, kt2))
+                entries.append((round(kt2, 12), n1, n2, kt2, kt))
     entries.sort(key=lambda e: e[:3])
     k2 = ambient.eps * omega * omega
-    return tuple((e[1], e[2]) for e in entries), np.array([branch_sqrt(k2 - e[3]) for e in entries])
+    return (
+        tuple((e[1], e[2]) for e in entries),
+        np.array([e[4] for e in entries]),
+        np.array([branch_sqrt(k2 - e[3]) for e in entries]),
+    )
+
+
+# oblique lattices as in TestReciprocalBasis.test_duality, with a cell angle
+# in [30, 150] degrees so that _beam_set_loop's default box covers every beam,
+# and the square and triangular ones
+_OBLIQUE = st.tuples(
+    st.tuples(st.floats(0.5, 2.0), st.floats(-0.5, 0.5)),
+    st.tuples(st.floats(-0.5, 0.5), st.floats(0.5, 2.0)),
+).filter(
+    lambda a: 2 * abs(a[0][0] * a[1][1] - a[0][1] * a[1][0]) >= math.hypot(*a[0]) * math.hypot(*a[1])
+).map(lambda a: Lattice2D(*a))
+_LATTICES = st.one_of(st.sampled_from([SQUARE, TRIANGULAR]), _OBLIQUE)
+# coordinates of kpar in (b1, b2): zone centre, edge midpoints, the corners of
+# the square and triangular zones, and any point, each moved by a few b
+_FRACTIONS = st.one_of(st.sampled_from([0.0, 0.5, -0.5, 1 / 3, 2 / 3]), st.floats(-0.5, 0.5))
+
+
+def _kpar(lat, f1, f2, m1, m2):
+    b1, b2 = reciprocal_basis(lat)
+    return (f1 + m1) * b1 + (f2 + m2) * b2
 
 
 class TestReciprocalBasis:
@@ -101,6 +133,27 @@ class TestFoldToZone:
         # the recorded shift restores the original: kpar = folded - shift * b
         assert shift == (-n1, -n2)
 
+    @given(
+        lat=_LATTICES, f1=_FRACTIONS, f2=_FRACTIONS,
+        m1=st.integers(-3, 3), m2=st.integers(-3, 3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force_window(self, lat, f1, f2, m1, m2):
+        # the least key (round(|v|^2, 12), n1, n2) over the 7 x 7 window
+        # around the rounded coordinates of kpar, found by a 2 x 2 solve
+        kpar = _kpar(lat, f1, f2, m1, m2)
+        b1, b2 = reciprocal_basis(lat)
+        n0 = -np.round(np.linalg.solve(np.column_stack([b1, b2]), kpar)).astype(int)
+        window = []
+        for n1 in range(n0[0] - 3, n0[0] + 4):
+            for n2 in range(n0[1] - 3, n0[1] + 4):
+                v = kpar + n1 * b1 + n2 * b2
+                window.append((round(float(v @ v), 12), n1, n2, v))
+        best = min(window, key=lambda e: e[:3])
+        folded, shift = fold_to_zone(lat, kpar)
+        assert shift == best[1:3]
+        assert np.array_equal(folded, best[3])
+
 
 class TestBeamSet:
     def test_long_wavelength_single_propagating(self):
@@ -133,8 +186,46 @@ class TestBeamSet:
     def test_matches_loop_reference(self, lat, kpar):
         ambient = Material(12.0 + 0.1j)
         beams = beam_set(lat, 1.6, kpar, ambient, 18.0)
-        g_ints, kz = _beam_set_loop(lat, 1.6, kpar, ambient, 18.0)
+        g_ints, kt, kz = _beam_set_loop(lat, 1.6, kpar, ambient, 18.0)
         assert beams.g_ints == g_ints
+        assert np.array_equal(beams.kt, kt)
+        assert np.array_equal(beams.kz, kz)
+
+    def test_skewed_cell_keeps_every_beam(self):
+        # at a cell angle of 11 degrees, a box of 2 (cutoff + |kf|) / min |b|
+        # misses the beams (5, 6) and (-5, -6); beam_set bounds its box by
+        # |n_i| = |g . a_i| / 2 pi <= (cutoff + |kf|) |a_i| / 2 pi instead
+        lat = Lattice2D((0.5, 0.5), (0.5, 0.75))
+        beams = beam_set(lat, 1.0, (0.0, 0.0), VACUUM, 50.0)
+        g_ints, kt, kz = _beam_set_loop(lat, 1.0, (0.0, 0.0), VACUUM, 50.0, nbox=40)
+        assert {(5, 6), (-5, -6)} <= set(beams.g_ints)
+        assert beams.g_ints == g_ints
+        assert np.array_equal(beams.kt, kt)
+        assert np.array_equal(beams.kz, kz)
+
+    @given(
+        lat=_LATTICES, f1=_FRACTIONS, f2=_FRACTIONS,
+        m1=st.integers(-2, 2), m2=st.integers(-2, 2),
+        shell=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+        eps=st.sampled_from([1.0, 2.25, 12.0, 12.0 + 0.1j, 12.0 + 7.0j]),
+        fill=st.floats(0.05, 1.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_loop_reference_on_shells(self, lat, f1, f2, m1, m2, shell, eps, fill):
+        # the cutoff is the radius of the shell through kpar + g(shell), so
+        # beams sit on it; omega puts the light cone at a fraction of it.  On
+        # a zone edge that radius may round below |kf|, the specular beam's.
+        kpar = _kpar(lat, f1, f2, m1, m2)
+        b1, b2 = reciprocal_basis(lat)
+        kf, _ = fold_to_zone(lat, kpar)
+        cutoff = max(float(np.hypot(*(kf + shell[0] * b1 + shell[1] * b2))), math.hypot(*kf))
+        assume(cutoff > 0.5)
+        ambient = Material(eps)
+        omega = fill * cutoff / math.sqrt(abs(eps))
+        beams = beam_set(lat, omega, kpar, ambient, cutoff)
+        g_ints, kt, kz = _beam_set_loop(lat, omega, kpar, ambient, cutoff)
+        assert np.array_equal(beams.g_ints, g_ints)
+        assert np.array_equal(beams.kt, kt)
         assert np.array_equal(beams.kz, kz)
 
     def test_cutoff_too_small_rejected(self):

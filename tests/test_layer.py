@@ -411,6 +411,24 @@ class TestIdentity:
             assert np.max(np.abs(a - b)) < 1e-14
 
 
+class TestColumn:
+    def test_full_basis_diagonal_layers(self):
+        # read straight from the diagonals, equal to the dense blocks' columns
+        beams = beam_set(SQUARE, 1.7, (0.4, 0.1), VACUUM, 14.0)
+        plate = plate_smatrix(Plate(0.6, Material(2.6 + 0.3j)), beams)
+        layers = (
+            plate,
+            interface_smatrix(Material(12.0 + 7.0j), beams),
+            gap_smatrix(0.8, beams),
+            star_product(plate, gap_smatrix(0.3, beams)),
+        )
+        for s in layers:
+            assert s.diagonal and s.sectors is None
+            for c in range(2 * beams.n_beams):
+                for i, name in enumerate(("tpp", "rpm", "rmp", "tmm")):
+                    assert np.array_equal(s.column(i, c), getattr(s, name)[:, c])
+
+
 def _dense_star(s1, s2):
     """The dense Redheffer formula on the materialised blocks, as a reference."""
     eye = np.eye(s1.tpp.shape[0])

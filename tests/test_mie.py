@@ -16,6 +16,7 @@ from pcfilm.mie import (
     Material,
     SphereScatterer,
     branch_sqrt,
+    branch_sqrt_array,
     mie_cross_sections,
     mie_t,
 )
@@ -40,6 +41,20 @@ class TestBranchSqrt:
         assert r.imag >= -1e-15
         if r.imag == 0.0:
             assert r.real >= 0.0
+
+    @given(
+        re=st.floats(-10.0, 10.0) | st.sampled_from([-4.0, -0.0, 0.0, 2.25]),
+        im=st.sampled_from([0.0, -0.0]) | st.floats(0.0, 10.0) | st.floats(-10.0, 0.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_array_matches_scalar_bit_for_bit(self, re, im):
+        # negative reals and Im = +-0.0 included; signed zeros must agree too
+        w = complex(re, im)
+        a = complex(branch_sqrt_array(np.array([w]))[0])
+        r = branch_sqrt(w)
+        assert (a.real, a.imag) == (r.real, r.imag)
+        assert math.copysign(1.0, a.real) == math.copysign(1.0, r.real)
+        assert math.copysign(1.0, a.imag) == math.copysign(1.0, r.imag)
 
 
 class TestMaterial:
@@ -78,6 +93,16 @@ class TestMieT:
         t_e, _ = mie_t(SphereScatterer(radius, Material(eps_in), Material(eps_host)), omega, 2)
         ref = (2j / 3.0) * x**3 * (eps_in - eps_host) / (eps_in + 2.0 * eps_host)
         assert abs(t_e[0] - ref) < 0.01 * abs(ref)
+
+    def test_cached_read_only(self):
+        # every angle of a sweep asks again at the same omega
+        sph = SphereScatterer(0.30618621, Material(1.0), Material(12.0 + 0.1j))
+        first = mie_t(sph, 2.0, 6)
+        again = mie_t(SphereScatterer(0.30618621, Material(1.0), Material(12.0 + 0.1j)), 2.0, 6)
+        assert all(a is b for a, b in zip(first, again))
+        for t in first:
+            with pytest.raises(ValueError, match="read-only"):
+                t[0] = 0.0
 
     def test_nonpositive_omega_rejected(self):
         sph = SphereScatterer(0.3, Material(2.0), Material(1.0))
