@@ -157,7 +157,7 @@ def _first_scatterer(scene: sc.Scene) -> SphereScatterer:
     return plane.scatterer
 
 
-def cmd_mie(scene: sc.Scene, out: Path, threads: int) -> list[Path]:
+def cmd_mie(scene: sc.Scene, out: Path) -> list[Path]:
     sphere = _first_scatterer(scene)
     om_disp, om_int, _, _ = _grid_points(scene)
     rows = []
@@ -264,6 +264,10 @@ def cmd_validate(args, out: Path) -> int:
     return 0 if ok else 1
 
 
+# the commands that solve a grid of points, on --threads threads
+_GRID_RUNNERS = {"spectrum": cmd_spectrum, "sweep": cmd_sweep, "band": cmd_band}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="pcfilm", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -278,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="scene config file path")
         p.add_argument("--preset", help="built-in scene name (paper-fig2/3/4)")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=1)
+        if name in _GRID_RUNNERS:
+            p.add_argument("--threads", type=int, default=1, help="threads over the grid points")
         p.add_argument("--lmax", type=int, default=None)
         p.add_argument("--cutoff", type=float, default=None)
         p.add_argument("--units", choices=("angular", "ordinary"), default=None)
@@ -293,13 +298,10 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return cmd_validate(args, out)
         scene = _load_scene(args)
-        runner = {
-            "spectrum": cmd_spectrum,
-            "sweep": cmd_sweep,
-            "band": cmd_band,
-            "mie": cmd_mie,
-        }[args.command]
-        paths = runner(scene, out, max(1, args.threads))
+        if args.command == "mie":
+            paths = cmd_mie(scene, out)
+        else:
+            paths = _GRID_RUNNERS[args.command](scene, out, max(1, args.threads))
         for p in paths:
             sys.stdout.write(f"wrote {p}\n")
         return 0

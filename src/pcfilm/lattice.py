@@ -58,10 +58,13 @@ class Lattice2D:
 
     @cached_property
     def nearest_distance(self) -> float:
-        """Shortest nonzero n1 a1 + n2 a2 with |n1|, |n2| <= 2, rounded as np.linalg.norm."""
-        n1, n2, _ = _shells(1, 3)
+        """Length of the shortest nonzero lattice vector w, rounded as np.linalg.norm.
+
+        |w| <= min(|a1|, |a2|) bounds its coordinates n_i = w . b_i / 2 pi."""
+        reach = min(math.hypot(*self.a1), math.hypot(*self.a2))
+        n1, n2, _ = _box(self, *(_span(reach, b) for b in reciprocal_basis(self)))
         v = n1[:, None] * np.array(self.a1) + n2[:, None] * np.array(self.a2)
-        return np.sqrt(beam_kt2(v)).min()
+        return np.sqrt(beam_kt2(v)[(n1 != 0) | (n2 != 0)]).min()
 
 
 SQUARE = Lattice2D((1.0, 0.0), (0.0, 1.0))
@@ -90,28 +93,37 @@ def mirror_fixed(lat: Lattice2D, offset=(0.0, 0.0)) -> bool:
     return bool(np.abs(n - np.rint(n)).max() <= 1e-9)
 
 
-_WINDOW = np.repeat(np.arange(-2, 3), 5), np.tile(np.arange(-2, 3), 5)
-
-
 def fold_to_zone(lat: Lattice2D, kpar) -> tuple[np.ndarray, tuple[int, int]]:
     """Fold kpar into the first Brillouin zone.
 
     Returns (folded kpar, (n1, n2)) with folded = kpar + n1 b1 + n2 b2 and
     |folded| minimal; ties broken lexicographically on (n1, n2).  The search
-    runs over the 5 x 5 window around minus the rounded coordinates
+    runs over the box of _fold_window around minus the rounded coordinates
     kpar . a_i / 2 pi of kpar in (b1, b2).
     """
     kpar = np.asarray(kpar, dtype=float)
-    b1, b2 = reciprocal_basis(lat)
+    b1, b2, n1, n2 = _fold_window(lat)
     kx, ky = kpar
-    n1 = _WINDOW[0] - round((kx * lat.a1[0] + ky * lat.a1[1]) / (2.0 * math.pi))
-    n2 = _WINDOW[1] - round((kx * lat.a2[0] + ky * lat.a2[1]) / (2.0 * math.pi))
+    n1 = n1 - round((kx * lat.a1[0] + ky * lat.a1[1]) / (2.0 * math.pi))
+    n2 = n2 - round((kx * lat.a2[0] + ky * lat.a2[1]) / (2.0 * math.pi))
     v = kpar + n1[:, None] * b1 + n2[:, None] * b2
     kt2 = beam_kt2(v)
     # only candidates within rounding of the least norm can share its key
     near = np.flatnonzero(kt2 <= kt2.min() * (1.0 + 1e-9) + 1e-9)
     best = near[_sorted_by_norm(kt2[near], n1[near], n2[near])[0]]
     return v[best], (int(n1[best]), int(n2[best]))
+
+
+@lru_cache(maxsize=64)
+def _fold_window(lat: Lattice2D) -> tuple[np.ndarray, ...]:
+    """(b1, b2, n1, n2): the reciprocal basis and fold_to_zone's integer box, read-only.
+
+    Rounding the coordinates leaves a point p with |p| <= (|b1| + |b2|) / 2; the
+    folded point is no longer, so it moves p by |n_i| <= |p| |a_i| / 2 pi + 1/2."""
+    b1, b2 = reciprocal_basis(lat)
+    reach = (math.hypot(*b1) + math.hypot(*b2)) / 2.0
+    n1, n2, _ = _box(lat, _span(reach, lat.a1), _span(reach, lat.a2))
+    return b1, b2, n1, n2
 
 
 def beam_kt2(kt: np.ndarray) -> np.ndarray:
@@ -130,6 +142,7 @@ class BeamSet:
 
     Beams are sorted by |kpar+g| (lexicographic integer tie-break).  kz obeys
     the global branch rule; a beam is propagating iff kz is exactly real.
+    Every kz, in the ambient or any other medium, comes from ``roots``.
     """
 
     lattice: Lattice2D
@@ -140,13 +153,21 @@ class BeamSet:
     g_ints: tuple[tuple[int, int], ...]
     kt: np.ndarray          # (n, 2) in-plane wave vectors kpar + g
     kt2: np.ndarray         # (n,) |kt|^2, rounded as beam_kt2
-    kz: np.ndarray          # (n,) complex, branch rule
-    propagating: np.ndarray  # (n,) bool
     _roots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_beams(self) -> int:
         return len(self.g_ints)
+
+    @property
+    def kz(self) -> np.ndarray:
+        """(n,) complex kz of every beam in the ambient, read-only: roots(ambient)[0]."""
+        return self.roots(self.ambient)[0]
+
+    @cached_property
+    def propagating(self) -> np.ndarray:
+        """(n,) bool: whether each beam propagates in the ambient."""
+        return self.kz.imag == 0.0
 
     @cached_property
     def mirror(self) -> np.ndarray | None:
@@ -167,8 +188,7 @@ class BeamSet:
         """(kz, sqrt kz) of every beam in a homogeneous medium, read-only.
 
         Computed once per medium from eps omega**2 - |kt|^2, so the layers
-        of a point share them.  In the ambient this kz may differ from
-        ``kz`` in the last bit: beam_set squares omega as omega * omega.
+        of a point share them.
         """
         roots = self._roots.get(mat)
         if roots is None:
@@ -187,7 +207,6 @@ def beam_set(lat: Lattice2D, omega: float, kpar, ambient: Material, cutoff: floa
         raise InvalidArgumentError(f"cutoff must be finite, got {cutoff}")
     if not np.isfinite(kpar).all():
         raise InvalidArgumentError(f"kpar must be finite, got {np.asarray(kpar).tolist()}")
-    k2 = ambient.eps * omega * omega
     if cutoff < omega * math.sqrt(abs(ambient.eps)) - 1e-12:
         raise InvalidArgumentError(
             f"cutoff {cutoff} < omega*sqrt|eps| = {omega * math.sqrt(abs(ambient.eps))}"
@@ -197,14 +216,11 @@ def beam_set(lat: Lattice2D, omega: float, kpar, ambient: Material, cutoff: floa
     if kf_norm > cutoff:
         raise InvalidArgumentError("cutoff too small to include the specular beam")
     # a kept g has |g| <= cutoff + |kf|, and n_i = g . a_i / 2 pi
-    reach = (cutoff + kf_norm) / (2.0 * math.pi)
-    n1, n2, g = _box(lat, *(int(reach * math.hypot(*a)) + 1 for a in (lat.a1, lat.a2)))
+    n1, n2, g = _box(lat, *(_span(cutoff + kf_norm, a) for a in (lat.a1, lat.a2)))
     kt = kf + g
     kt2 = beam_kt2(kt)
     keep = np.flatnonzero(kt2 <= cutoff * cutoff + 1e-12)
     keep = keep[_sorted_by_norm(kt2[keep], n1[keep], n2[keep])]
-    kt2 = kt2[keep]
-    kz = branch_sqrt_array(k2 - kt2)
     return BeamSet(
         lattice=lat,
         omega=omega,
@@ -213,10 +229,13 @@ def beam_set(lat: Lattice2D, omega: float, kpar, ambient: Material, cutoff: floa
         ambient=ambient,
         g_ints=tuple(zip(n1[keep].tolist(), n2[keep].tolist())),
         kt=kt[keep],
-        kt2=kt2,
-        kz=kz,
-        propagating=kz.imag == 0.0,
+        kt2=kt2[keep],
     )
+
+
+def _span(reach: float, v) -> int:
+    """1 + the largest |w . v| / 2 pi over |w| <= reach: a bound on a lattice coordinate."""
+    return int(reach / (2.0 * math.pi) * math.hypot(*v)) + 1
 
 
 @lru_cache(maxsize=64)
@@ -274,21 +293,15 @@ def _tail_integrals(lmax: int, r, k: complex, eta: float) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=256)
-def _shell(s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Integer pairs (n1, n2) with max(|n1|, |n2|) == s, lexicographic order."""
-    r = np.arange(-s, s + 1)
-    n1, n2 = np.meshgrid(r, r, indexing="ij")
-    on = np.maximum(abs(n1), abs(n2)) == s
-    return n1[on], n2[on]
-
-
 @lru_cache(maxsize=64)
 def _shells(first: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pairs of _shell(s) for first <= s < stop, concatenated, and the s of each."""
-    parts = [_shell(s) for s in range(first, stop)]
-    n1, n2 = (np.concatenate(p) for p in zip(*parts))
-    return n1, n2, np.repeat(np.arange(first, stop), [p[0].size for p in parts])
+    """Pairs (n1, n2) with first <= s = max(|n1|, |n2|) < stop, by s then lexicographic, and each s."""
+    r = np.arange(1 - stop, stop)
+    n1, n2 = (n.ravel() for n in np.meshgrid(r, r, indexing="ij"))
+    s = np.maximum(abs(n1), abs(n2))
+    order = np.argsort(s, kind="stable")
+    order = order[s[order] >= first]
+    return n1[order], n2[order], s[order]
 
 
 @lru_cache(maxsize=32)

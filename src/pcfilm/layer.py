@@ -39,7 +39,7 @@ import numpy as np
 from . import vswf
 from .errors import InvalidArgumentError, SingularSolveError
 from .lattice import BeamSet, Lattice2D, mirror_fixed, structure_constants
-from .mie import Material, SphereScatterer, branch_sqrt, branch_sqrt_array, mie_t
+from .mie import Material, SphereScatterer, branch_sqrt, mie_t
 
 # Largest accepted condition number of a solve.  For a dense solve what is
 # checked is a probe estimate of the 2-norm condition number,
@@ -316,11 +316,6 @@ def identity_smatrix(beams: BeamSet) -> LayerS:
     return _diagonal_smatrix(beams, beams.ambient, 1.0, 0.0, 0.0, 1.0)
 
 
-def beam_kz(beams: BeamSet, mat: Material) -> np.ndarray:
-    """kz of every beam in a (possibly different) homogeneous medium, read-only."""
-    return beams.roots(mat)[0]
-
-
 def _pol_vectors(kt: np.ndarray, kz: np.ndarray, k: complex, sign: int) -> np.ndarray:
     """(s_hat, p_hat) of every beam travelling toward sign*z, shape (n, 2, 3).
 
@@ -455,9 +450,8 @@ def _beam_multipole_maps(beams: BeamSet, lmax: int, which=slice(None)):
     nv = vswf.nlm(lmax)
     k = beams.ambient.wavenumber(beams.omega)
     kt = beams.kt[which]
-    kz = beams.kz[which]
+    kz, sqrt_kz = (x[which] for x in beams.roots(beams.ambient))
     n = kz.size
-    sqrt_kz = branch_sqrt_array(kz)
     ktn = np.hypot(kt[:, 0], kt[:, 1])
     phi = np.where(ktn > 1e-12, np.arctan2(kt[:, 1], kt[:, 0]), 0.0)
     c_pref = 2.0 * math.pi / (beams.lattice.area * k * kz)

@@ -26,10 +26,11 @@ class OneDimLayer:
     thickness: float
 
     def __post_init__(self):
+        Material(self.eps)  # raises unless eps is finite and passive
+        if not math.isfinite(self.thickness):
+            raise InvalidArgumentError(f"thickness must be finite, got {self.thickness}")
         if self.thickness < 0:
             raise InvalidArgumentError(f"thickness must be >= 0, got {self.thickness}")
-        if complex(self.eps).imag < 0:
-            raise InvalidArgumentError(f"passive media only: Im(eps) >= 0, got {self.eps}")
 
 
 @dataclass(frozen=True)
@@ -65,16 +66,21 @@ def _dyn_matrix(eps: complex, omega: float, kx: float, pol: str) -> np.ndarray:
     return np.array([[ct, ct], [n, -n]])
 
 
-def layer_matrix(
-    layer: OneDimLayer, omega: float, theta0: float, pol: str, ambient: Material = VACUUM
-) -> OneDimMatrix:
-    """Transfer matrix of one layer, expressed in the ambient amplitude basis."""
+def _check_point(omega: float, theta0: float, pol: str) -> None:
+    """Reject an omega, incidence angle or polarization the engine does not solve."""
     if not omega > 0:
         raise InvalidArgumentError(f"omega must be > 0, got {omega}")
     if not 0 <= theta0 < math.pi / 2:
         raise InvalidArgumentError(f"theta0 must be in [0, pi/2), got {theta0}")
     if pol not in ("s", "p"):
         raise InvalidArgumentError(f"pol must be 's' or 'p', got {pol!r}")
+
+
+def layer_matrix(
+    layer: OneDimLayer, omega: float, theta0: float, pol: str, ambient: Material = VACUUM
+) -> OneDimMatrix:
+    """Transfer matrix of one layer, expressed in the ambient amplitude basis."""
+    _check_point(omega, theta0, pol)
     kx = omega * ambient.n.real * math.sin(theta0)
     kz = _kz(layer.eps, omega, kx)
     ph = kz * layer.thickness
@@ -97,6 +103,7 @@ def stack_matrix(
 
     An empty stack is the bare interface from the ambient to the exit medium.
     """
+    _check_point(omega, theta0, pol)
     kx = omega * ambient.n.real * math.sin(theta0)
     m = np.eye(2, dtype=complex)
     for layer in layers:

@@ -324,7 +324,7 @@ def _extract_point(
     if desc.exit_is_opaque:
         T = 0.0
     else:
-        kz_out = ly.beam_kz(beams, desc.exit)
+        kz_out = beams.roots(desc.exit)[0]
         mask_out = np.repeat(kz_out.imag == 0.0, 2)
         T = float(np.sum(np.abs(t_amp[mask_out]) ** 2))
     A = 1.0 - R - T

@@ -479,6 +479,15 @@ class TestCli:
         assert main(["mie", "--config", cfg, "--out", str(out)]) == 0
         assert (out / "mie.csv").exists()
 
+    @pytest.mark.parametrize("command", ["mie", "validate"])
+    def test_threads_only_on_grid_commands(self, tmp_path, capsys, command):
+        # only spectrum, sweep and band spread their points over threads
+        argv = [command, "--preset", "paper-fig3", "--threads", "2", "--out", str(tmp_path / "x")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
     def test_validate_fig3_passes(self, tmp_path):
         cfg = self._write(tmp_path, _small_fig3())
         out = tmp_path / "val"

@@ -53,7 +53,7 @@ def _beam_set_loop(lat, omega, kpar, ambient, cutoff, nbox=None):
             if kt2 <= cutoff * cutoff + 1e-12:
                 entries.append((round(kt2, 12), n1, n2, kt2, kt))
     entries.sort(key=lambda e: e[:3])
-    k2 = ambient.eps * omega * omega
+    k2 = ambient.eps * omega**2
     return (
         tuple((e[1], e[2]) for e in entries),
         np.array([e[4] for e in entries]),
@@ -71,6 +71,14 @@ _OBLIQUE = st.tuples(
     lambda a: 2 * abs(a[0][0] * a[1][1] - a[0][1] * a[1][0]) >= math.hypot(*a[0]) * math.hypot(*a[1])
 ).map(lambda a: Lattice2D(*a))
 _LATTICES = st.one_of(st.sampled_from([SQUARE, TRIANGULAR]), _OBLIQUE)
+# strongly unreduced cells: their nearest lattice points, direct and
+# reciprocal, lie far outside |n_i| <= 2
+_SKEWED = [
+    Lattice2D((1.0, 0.0), (2.6, 0.3)),
+    Lattice2D((1.0, 0.0), (3.01, 0.05)),
+    Lattice2D((1.0, 0.0), (1.7 * math.cos(math.radians(3)), 1.7 * math.sin(math.radians(3)))),
+    Lattice2D((1.0, 0.0), (1.7 * math.cos(math.radians(5)), 1.7 * math.sin(math.radians(5)))),
+]
 # coordinates of kpar in (b1, b2): zone centre, edge midpoints, the corners of
 # the square and triangular zones, and any point, each moved by a few b
 _FRACTIONS = st.one_of(st.sampled_from([0.0, 0.5, -0.5, 1 / 3, 2 / 3]), st.floats(-0.5, 0.5))
@@ -117,6 +125,19 @@ class TestReciprocalBasis:
             Lattice2D(a1, (0.0, 1.0))
 
 
+class TestNearestDistance:
+    @pytest.mark.parametrize("lat", [SQUARE, TRIANGULAR, *_SKEWED])
+    def test_matches_brute_force(self, lat):
+        # every nonzero n1 a1 + n2 a2 with |n1|, |n2| <= 64; the shortest has
+        # |n_i| <= min(|a1|, |a2|) |b_i| / 2 pi, below 61 on these cells
+        r = np.arange(-64, 65)
+        n1, n2 = (n.ravel() for n in np.meshgrid(r, r, indexing="ij"))
+        v = n1[:, None] * np.array(lat.a1) + n2[:, None] * np.array(lat.a2)
+        length = np.linalg.norm(v, axis=1)
+        expected = length[(n1 != 0) | (n2 != 0)].min()
+        assert lat.nearest_distance == pytest.approx(expected, rel=1e-14)
+
+
 class TestFoldToZone:
     def test_interior_point_unchanged(self):
         folded, shift = fold_to_zone(SQUARE, (0.3, -0.2))
@@ -134,21 +155,27 @@ class TestFoldToZone:
         assert shift == (-n1, -n2)
 
     @given(
-        lat=_LATTICES, f1=_FRACTIONS, f2=_FRACTIONS,
+        lat=st.one_of(_LATTICES, st.sampled_from(_SKEWED)), f1=_FRACTIONS, f2=_FRACTIONS,
         m1=st.integers(-3, 3), m2=st.integers(-3, 3),
     )
     @settings(max_examples=200, deadline=None)
     def test_matches_brute_force_window(self, lat, f1, f2, m1, m2):
-        # the least key (round(|v|^2, 12), n1, n2) over the 7 x 7 window
-        # around the rounded coordinates of kpar, found by a 2 x 2 solve
+        # the least key (round(|v|^2, 12), n1, n2) over the window around the
+        # rounded coordinates of kpar, found by a 2 x 2 solve.  The folded
+        # point is no longer than the rounded one, so it moves that one by
+        # some |g| <= |b1| + |b2|: |n_i| <= (|b1| + |b2|) |a_i| / 2 pi.  A
+        # 7 x 7 window for the square lattice, 165 x 487 for a2 = (3.01, 0.05).
         kpar = _kpar(lat, f1, f2, m1, m2)
         b1, b2 = reciprocal_basis(lat)
         n0 = -np.round(np.linalg.solve(np.column_stack([b1, b2]), kpar)).astype(int)
-        window = []
-        for n1 in range(n0[0] - 3, n0[0] + 4):
-            for n2 in range(n0[1] - 3, n0[1] + 4):
-                v = kpar + n1 * b1 + n2 * b2
-                window.append((round(float(v @ v), 12), n1, n2, v))
+        reach = (np.hypot(*b1) + np.hypot(*b2)) / (2 * math.pi)
+        w1, w2 = (math.ceil(reach * math.hypot(*a)) + 1 for a in (lat.a1, lat.a2))
+        box = np.meshgrid(np.arange(-w1, w1 + 1) + n0[0], np.arange(-w2, w2 + 1) + n0[1], indexing="ij")
+        n1, n2 = (n.ravel() for n in box)
+        v = kpar + n1[:, None] * b1 + n2[:, None] * b2
+        kt2 = np.einsum("ij,ij->i", v, v)
+        near = np.flatnonzero(kt2 <= kt2.min() * (1 + 1e-6) + 1e-9)
+        window = [(round(float(v[i] @ v[i]), 12), int(n1[i]), int(n2[i]), v[i]) for i in near]
         best = min(window, key=lambda e: e[:3])
         folded, shift = fold_to_zone(lat, kpar)
         assert shift == best[1:3]
@@ -227,6 +254,12 @@ class TestBeamSet:
         assert np.array_equal(beams.g_ints, g_ints)
         assert np.array_equal(beams.kt, kt)
         assert np.array_equal(beams.kz, kz)
+
+    @pytest.mark.parametrize("eps", [12.0, 12.0 + 0.1j, 12.0 + 7.0j])
+    def test_kz_is_the_ambient_root(self, eps):
+        # one kz formula: a gap and an interface in the ambient see the same kz
+        beams = beam_set(TRIANGULAR, 1.7, (0.4, 0.1), Material(eps), 20.0)
+        assert np.array_equal(beams.kz, beams.roots(beams.ambient)[0])
 
     def test_cutoff_too_small_rejected(self):
         with pytest.raises(InvalidArgumentError):

@@ -11,7 +11,7 @@ import pytest
 from oracles import beam_kz_loop, fresnel_beam, fresnel_power_reflectance, mie_oracle, plate_beam
 from pcfilm import vswf
 from pcfilm.errors import InvalidArgumentError, SingularSolveError
-from pcfilm.lattice import SQUARE, TRIANGULAR, beam_set, structure_constants
+from pcfilm.lattice import SQUARE, TRIANGULAR, Lattice2D, beam_set, structure_constants
 from pcfilm.layer import (
     COND_REPORT_LIMIT,
     Plate,
@@ -276,6 +276,12 @@ class TestSpherePlane:
     def test_overlapping_spheres_rejected(self):
         with pytest.raises(InvalidArgumentError):
             PlaneOfSpheres(SQUARE, SphereScatterer(0.6, Material(2.0), VACUUM))
+
+    def test_overlap_on_a_skewed_cell_rejected(self):
+        # the nearest neighbour a2 - 3 a1 = (0.01, 0.05) lies outside |n_i| <= 2
+        lat = Lattice2D((1.0, 0.0), (3.01, 0.05))
+        with pytest.raises(InvalidArgumentError, match="spheres overlap"):
+            PlaneOfSpheres(lat, SphereScatterer(0.4, Material(2.0), VACUUM))
 
 
 def _maps_per_direction(beams, k, offset, area, lmax):

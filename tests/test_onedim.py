@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import bragg_mirror_reflectance, fresnel_power_reflectance
-from pcfilm.errors import SingularSolveError
+from pcfilm.errors import InvalidArgumentError, SingularSolveError
 from pcfilm.mie import Material, VACUUM
 from pcfilm.onedim import (
     OneDimLayer,
@@ -118,6 +118,31 @@ class TestSolveOnedim:
         R, T, A = solve_onedim([], 1.0, 0.0, "s", VACUUM, Material(2.25))
         assert R == pytest.approx(fresnel_power_reflectance(2.25), abs=1e-15)
         assert T == pytest.approx(1.0 - R, abs=1e-15)
+
+    # an empty stack reaches no layer_matrix, so stack_matrix checks the point itself
+    @pytest.mark.parametrize(
+        "omega, theta0, pol, match",
+        [
+            (1.0, 0.3, "x", "pol must be 's' or 'p', got 'x'"),
+            (1.0, 2.0, "s", r"theta0 must be in \[0, pi/2\), got 2.0"),
+            (-1.0, 0.3, "p", "omega must be > 0, got -1.0"),
+        ],
+    )
+    def test_empty_stack_checks_the_point(self, omega, theta0, pol, match):
+        with pytest.raises(InvalidArgumentError, match=match):
+            solve_onedim([], omega, theta0, pol, VACUUM, Material(2.25))
+
+    @pytest.mark.parametrize(
+        "eps, thickness, match",
+        [
+            (2.0, math.nan, "thickness must be finite"),
+            (math.nan, 0.5, "eps must be finite"),
+            (2.0, math.inf, "thickness must be finite"),
+        ],
+    )
+    def test_non_finite_layer_rejected(self, eps, thickness, match):
+        with pytest.raises(InvalidArgumentError, match=match):
+            OneDimLayer(eps, thickness)
 
     @given(
         eps=st.lists(st.floats(1.0, 16.0), min_size=1, max_size=5),

@@ -16,7 +16,7 @@ import pcfilm.scenes as sc
 import pcfilm.stack as stk
 from pcfilm.emissivity import angular_map
 from pcfilm.errors import InvalidArgumentError
-from pcfilm.lattice import SQUARE, TRIANGULAR, beam_set, mirror_fixed
+from pcfilm.lattice import SQUARE, TRIANGULAR, Lattice2D, beam_set, mirror_fixed
 from pcfilm.layer import (
     Plate,
     PlaneOfSpheres,
@@ -401,6 +401,27 @@ class TestWalkSteps:
         )
 
 
+class TestLatticeBasis:
+    """R, T and A of a sphere plane depend on its lattice, not on the basis naming it."""
+
+    @pytest.mark.parametrize("m", [-2, -1, 1, 2, 3])
+    def test_triangular_basis_invariance(self, m):
+        (x1, y1), (x2, y2) = TRIANGULAR.a1, TRIANGULAR.a2
+        sheared = Lattice2D((x1, y1), (x2 + m * x1, y2 + m * y1))
+        sphere = SphereScatterer(0.3, Material(4.0 + 0.5j), VACUUM)
+        controls = NumericalControls(lmax=4)
+        for omega, theta, phi in ((2.0, 0.0, 0.0), (3.0, 0.3, 0.0), (2.5, 0.5, math.radians(25.0))):
+            want, got = (
+                solve_stack_points(
+                    StackDescription((PlaneOfSpheres(lat, sphere),)), omega, theta, phi,
+                    ("s", "p"), controls,
+                )
+                for lat in (TRIANGULAR, sheared)
+            )
+            for w, g in zip(want, got):
+                assert max(abs(w.R - g.R), abs(w.T - g.T), abs(w.A - g.A)) <= 1e-12
+
+
 class TestTotalBeams:
     """A stack's S-matrix keeps its first layer's beams, in the incident medium.
 
@@ -411,7 +432,7 @@ class TestTotalBeams:
     def _check(desc, omega, theta, controls):
         total = stack_smatrix(desc, omega, (omega * math.sin(theta), 0.0), controls)
         assert total.beams.ambient == desc.incident
-        kz_in = ly.beam_kz(total.beams, desc.incident)
+        kz_in = total.beams.roots(desc.incident)[0]
         assert np.array_equal(total.beams.propagating, kz_in.imag == 0.0)
 
     @pytest.mark.parametrize(
