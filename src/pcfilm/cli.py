@@ -18,7 +18,7 @@ import numpy as np
 from . import band as bd
 from . import scenes as sc
 from .emissivity import PLANCK_PEAK_X, POLS, angular_map, planck_b, planck_weight, run_grid
-from .errors import PcfilmError
+from .errors import ConfigError, PcfilmError
 from .mie import Material, SphereScatterer, mie_cross_sections, mie_t
 from .onedim import OneDimLayer, solve_onedim
 from .output import fmt9, write_band_svg, write_csv, write_heatmap_svg
@@ -103,8 +103,11 @@ def cmd_band(scene: sc.Scene, out: Path, threads: int) -> list[Path]:
     unit, ambient, period = scene.unit_slice()
     if period <= 0:
         raise PcfilmError("scene has no repeated unit with positive thickness")
-    controls = scene.controls()
     om_disp, om_int, _, _ = _grid_points(scene)
+    if (np.diff(om_int) <= 0).any():  # gap_edges continues branches along increasing omega
+        lo, hi, n = scene.omega_sweep
+        raise ConfigError([(None, f"[sweep] omega = {lo} {hi} {n}: band needs min < max")])
+    controls = scene.controls()
     lat = scene.lattice()
     if controls.cutoff is None:
         # pin the beam cutoff at the scan maximum, over the media of the unit

@@ -37,16 +37,19 @@ _MAX_SHELL = 200
 
 @dataclass(frozen=True)
 class Lattice2D:
-    """2D Bravais lattice with basis vectors in units of a."""
+    """2D Bravais lattice in units of a; a1, a2 hold the reduced basis of the vectors given."""
 
     a1: tuple[float, float]
     a2: tuple[float, float]
 
     def __post_init__(self):
-        if not all(math.isfinite(x) for x in self.a1 + self.a2):
-            raise InvalidArgumentError(f"non-finite lattice vector: a1={self.a1}, a2={self.a2}")
-        if abs(self.cross) < 1e-14:
-            raise InvalidArgumentError(f"degenerate lattice cell: a1={self.a1}, a2={self.a2}")
+        a1, a2 = tuple(map(float, self.a1)), tuple(map(float, self.a2))
+        if not all(math.isfinite(x) for x in a1 + a2):
+            raise InvalidArgumentError(f"non-finite lattice vector: a1={a1}, a2={a2}")
+        if abs(a1[0] * a2[1] - a1[1] * a2[0]) < 1e-14:
+            raise InvalidArgumentError(f"degenerate lattice cell: a1={a1}, a2={a2}")
+        for name, v in zip(("a1", "a2"), _reduced(a1, a2)):
+            object.__setattr__(self, name, v)
 
     @property
     def cross(self) -> float:
@@ -56,15 +59,29 @@ class Lattice2D:
     def area(self) -> float:
         return abs(self.cross)
 
-    @cached_property
+    @property
     def nearest_distance(self) -> float:
-        """Length of the shortest nonzero lattice vector w, rounded as np.linalg.norm.
+        """Length of the shortest nonzero lattice vector, the shorter of a1 and a2."""
+        return min(math.hypot(*self.a1), math.hypot(*self.a2))
 
-        |w| <= min(|a1|, |a2|) bounds its coordinates n_i = w . b_i / 2 pi."""
-        reach = min(math.hypot(*self.a1), math.hypot(*self.a2))
-        n1, n2, _ = _box(self, *(_span(reach, b) for b in reciprocal_basis(self)))
-        v = n1[:, None] * np.array(self.a1) + n2[:, None] * np.array(self.a2)
-        return np.sqrt(beam_kt2(v)[(n1 != 0) | (n2 != 0)]).min()
+
+def _reduced(a1, a2) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Lagrange-Gauss reduced basis of the lattice, with the same signed cross product.
+
+    Reduced, |a1 . a2| <= min |a_i|^2 / 2 to 1e-12 (and then kept as given), the shorter
+    vector is a shortest one.  The slack, and a step that shortens nothing, end on ties."""
+    (x1, y1), (x2, y2) = a1, a2
+    while True:
+        n1, n2, dot = x1 * x1 + y1 * y1, x2 * x2 + y2 * y2, x1 * x2 + y1 * y2
+        if abs(dot) <= (0.5 + 1e-12) * min(n1, n2):
+            return (x1, y1), (x2, y2)
+        if n2 < n1:  # (a2, -a1): the shorter first, the same cross product
+            (x1, y1), (x2, y2), n1, n2, dot = (x2, y2), (-x1, -y1), n2, n1, -dot
+        mu = round(dot / n1)
+        x, y = x2 - mu * x1, y2 - mu * y1
+        if x * x + y * y >= n2:
+            return (x1, y1), (x2, y2)
+        x2, y2 = x, y
 
 
 SQUARE = Lattice2D((1.0, 0.0), (0.0, 1.0))
@@ -74,9 +91,8 @@ TRIANGULAR = Lattice2D((1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0))
 @lru_cache(maxsize=64)
 def reciprocal_basis(lat: Lattice2D) -> tuple[np.ndarray, np.ndarray]:
     """Reciprocal vectors with b_i . a_j = 2 pi delta_ij, read-only."""
-    c = lat.cross
-    b1 = (2.0 * math.pi / c) * np.array([lat.a2[1], -lat.a2[0]])
-    b2 = (2.0 * math.pi / c) * np.array([-lat.a1[1], lat.a1[0]])
+    b1 = (2.0 * math.pi / lat.cross) * np.array([lat.a2[1], -lat.a2[0]])
+    b2 = (2.0 * math.pi / lat.cross) * np.array([-lat.a1[1], lat.a1[0]])
     b1.flags.writeable = b2.flags.writeable = False
     return b1, b2
 
@@ -98,11 +114,12 @@ def fold_to_zone(lat: Lattice2D, kpar) -> tuple[np.ndarray, tuple[int, int]]:
 
     Returns (folded kpar, (n1, n2)) with folded = kpar + n1 b1 + n2 b2 and
     |folded| minimal; ties broken lexicographically on (n1, n2).  The search
-    runs over the box of _fold_window around minus the rounded coordinates
-    kpar . a_i / 2 pi of kpar in (b1, b2).
+    runs over the 3 x 3 box around minus the rounded coordinates
+    kpar . a_i / 2 pi of kpar in (b1, b2), enough for a reduced basis.
     """
     kpar = np.asarray(kpar, dtype=float)
-    b1, b2, n1, n2 = _fold_window(lat)
+    b1, b2 = reciprocal_basis(lat)
+    n1, n2, _ = _box(lat, 1, 1)
     kx, ky = kpar
     n1 = n1 - round((kx * lat.a1[0] + ky * lat.a1[1]) / (2.0 * math.pi))
     n2 = n2 - round((kx * lat.a2[0] + ky * lat.a2[1]) / (2.0 * math.pi))
@@ -112,18 +129,6 @@ def fold_to_zone(lat: Lattice2D, kpar) -> tuple[np.ndarray, tuple[int, int]]:
     near = np.flatnonzero(kt2 <= kt2.min() * (1.0 + 1e-9) + 1e-9)
     best = near[_sorted_by_norm(kt2[near], n1[near], n2[near])[0]]
     return v[best], (int(n1[best]), int(n2[best]))
-
-
-@lru_cache(maxsize=64)
-def _fold_window(lat: Lattice2D) -> tuple[np.ndarray, ...]:
-    """(b1, b2, n1, n2): the reciprocal basis and fold_to_zone's integer box, read-only.
-
-    Rounding the coordinates leaves a point p with |p| <= (|b1| + |b2|) / 2; the
-    folded point is no longer, so it moves p by |n_i| <= |p| |a_i| / 2 pi + 1/2."""
-    b1, b2 = reciprocal_basis(lat)
-    reach = (math.hypot(*b1) + math.hypot(*b2)) / 2.0
-    n1, n2, _ = _box(lat, _span(reach, lat.a1), _span(reach, lat.a2))
-    return b1, b2, n1, n2
 
 
 def beam_kt2(kt: np.ndarray) -> np.ndarray:
@@ -215,8 +220,9 @@ def beam_set(lat: Lattice2D, omega: float, kpar, ambient: Material, cutoff: floa
     kf_norm = math.hypot(*kf)
     if kf_norm > cutoff:
         raise InvalidArgumentError("cutoff too small to include the specular beam")
-    # a kept g has |g| <= cutoff + |kf|, and n_i = g . a_i / 2 pi
-    n1, n2, g = _box(lat, *(_span(cutoff + kf_norm, a) for a in (lat.a1, lat.a2)))
+    # a kept g has |g| <= cutoff + |kf|, and |n_i| = |g . a_i| / 2 pi
+    reach = (cutoff + kf_norm) / (2.0 * math.pi)
+    n1, n2, g = _box(lat, *(int(reach * math.hypot(*a)) + 1 for a in (lat.a1, lat.a2)))
     kt = kf + g
     kt2 = beam_kt2(kt)
     keep = np.flatnonzero(kt2 <= cutoff * cutoff + 1e-12)
@@ -231,11 +237,6 @@ def beam_set(lat: Lattice2D, omega: float, kpar, ambient: Material, cutoff: floa
         kt=kt[keep],
         kt2=kt2[keep],
     )
-
-
-def _span(reach: float, v) -> int:
-    """1 + the largest |w . v| / 2 pi over |w| <= reach: a bound on a lattice coordinate."""
-    return int(reach / (2.0 * math.pi) * math.hypot(*v)) + 1
 
 
 @lru_cache(maxsize=64)
@@ -343,10 +344,10 @@ def _pair_tables(pmax: int, half: bool):
 def lattice_sums_ewald(lat: Lattice2D, k: complex, kpar, pmax: int, eta: float | None = None) -> dict:
     """Ewald-accelerated S_{p,sigma} for all p <= pmax, sigma with p+sigma even.
 
-    Both sums run over square shells max(|n1|, |n2|) = s and stop after two
-    consecutive shells whose largest term is below _EWALD_TOL relative to the
-    running sum.  The shells are evaluated in array steps of several shells
-    (_FIRST_SHELLS, then two at a time) and added one by one.
+    Both sums run over square shells max(|n1|, |n2|) = s of the reduced basis
+    and stop after two consecutive shells whose largest term is below
+    _EWALD_TOL relative to the running sum.  The shells are evaluated in array
+    steps of several shells (_FIRST_SHELLS, then two at a time), added one by one.
 
     When the mirror y -> -y maps the lattice to itself and kpar lies on the
     x axis, it maps every term of either sum to the term of the mirror point
@@ -361,8 +362,7 @@ def lattice_sums_ewald(lat: Lattice2D, k: complex, kpar, pmax: int, eta: float |
     if eta is None:
         eta = math.sqrt(math.pi) / math.sqrt(area)
     b1, b2 = reciprocal_basis(lat)
-    a1 = np.array(lat.a1)
-    a2 = np.array(lat.a2)
+    a1, a2 = np.array(lat.a1), np.array(lat.a2)
     pairs = _lm_pairs(pmax, half)
     lidx, midx, (start, n_of, power, coef), pair_norm, yvec0 = _pair_tables(pmax, half)
     pref1 = pair_norm / (area * k * (-2 * k) ** lidx)

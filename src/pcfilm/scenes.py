@@ -129,9 +129,8 @@ class Scene:
                 el = Plate(float(spec[2]), self.material(spec[1]))
             elif kind == "spheres":
                 off = (float(spec[3]), float(spec[4])) if len(spec) > 3 else (0.0, 0.0)
-                a1 = np.array(self.a1)
-                a2 = np.array(self.a2)
-                offv = tuple(off[0] * a1 + off[1] * a2)
+                # in the config's a1, a2: the lattice stores its reduced basis
+                offv = tuple(off[0] * np.array(self.a1) + off[1] * np.array(self.a2))
                 el = PlaneOfSpheres(
                     lat, SphereScatterer(float(spec[2]), self.material(spec[1]), ambient), offv
                 )

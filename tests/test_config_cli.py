@@ -473,6 +473,21 @@ class TestCli:
         omega_max = float(scene.omega_internal(hi))
         assert seen == [NumericalControls().resolved_cutoff(omega_max, 2.6, 0.0)] * 3
 
+    @pytest.mark.parametrize("sweep", [(3.0, 1.6, 20), (2.0, 2.0, 3)], ids=["decreasing", "repeated"])
+    def test_band_needs_an_increasing_scan(self, tmp_path, capsys, monkeypatch, sweep):
+        # rejected before any point is solved, not by gap_edges after all of
+        # them; spectrum and sweep accept such grids
+        scene = dataclasses.replace(sc.preset("paper-fig3"), omega_sweep=sweep, theta_sweep=(0.0, 0.0, 1))
+        cfg = self._write(tmp_path, scene)
+        seen = []
+        monkeypatch.setattr("pcfilm.cli.slice_smatrix", lambda *args: seen.append(args))
+        assert main(["band", "--config", cfg, "--out", str(tmp_path / "b")]) == 2
+        assert seen == []
+        lo, hi, n = sweep
+        assert capsys.readouterr().err == f"error: [sweep] omega = {lo} {hi} {n}: band needs min < max\n"
+        for command in ("spectrum", "sweep"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+
     def test_mie_output(self, tmp_path):
         cfg = self._write(tmp_path, sc.preset("paper-fig4"))
         out = tmp_path / "mie"

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import pcfilm.scenes as sc
 from oracles import direct_lattice_sums, lattice_sum_keys
 from pcfilm.errors import ConvergenceError, InvalidArgumentError
 from pcfilm.lattice import (
@@ -31,7 +32,8 @@ def _beam_set_loop(lat, omega, kpar, ambient, cutoff, nbox=None):
     It folds kpar with a 2 x 2 solve and searches the square integer box
     |n1|, |n2| <= nbox, by default 2 (cutoff + |kf|) / min |b| + 2.  That
     box covers every beam when the cell angle lies in [30, 150] degrees,
-    where |a1| |a2| <= 2 |a1 x a2|, and may miss some outside it.
+    where |a1| |a2| <= 2 |a1 x a2|: on every lattice, since a lattice stores
+    its reduced basis, whose angle lies in [60, 120] degrees.
     """
     b1, b2 = reciprocal_basis(lat)
     kpar = np.asarray(kpar, dtype=float)
@@ -61,24 +63,22 @@ def _beam_set_loop(lat, omega, kpar, ambient, cutoff, nbox=None):
     )
 
 
-# oblique lattices as in TestReciprocalBasis.test_duality, with a cell angle
-# in [30, 150] degrees so that _beam_set_loop's default box covers every beam,
-# and the square and triangular ones
+# oblique lattices as in TestReciprocalBasis.test_duality, and the square
+# and triangular ones
 _OBLIQUE = st.tuples(
     st.tuples(st.floats(0.5, 2.0), st.floats(-0.5, 0.5)),
     st.tuples(st.floats(-0.5, 0.5), st.floats(0.5, 2.0)),
-).filter(
-    lambda a: 2 * abs(a[0][0] * a[1][1] - a[0][1] * a[1][0]) >= math.hypot(*a[0]) * math.hypot(*a[1])
-).map(lambda a: Lattice2D(*a))
+).filter(lambda a: abs(a[0][0] * a[1][1] - a[0][1] * a[1][0]) > 0.1).map(lambda a: Lattice2D(*a))
 _LATTICES = st.one_of(st.sampled_from([SQUARE, TRIANGULAR]), _OBLIQUE)
-# strongly unreduced cells: their nearest lattice points, direct and
-# reciprocal, lie far outside |n_i| <= 2
-_SKEWED = [
-    Lattice2D((1.0, 0.0), (2.6, 0.3)),
-    Lattice2D((1.0, 0.0), (3.01, 0.05)),
-    Lattice2D((1.0, 0.0), (1.7 * math.cos(math.radians(3)), 1.7 * math.sin(math.radians(3)))),
-    Lattice2D((1.0, 0.0), (1.7 * math.cos(math.radians(5)), 1.7 * math.sin(math.radians(5)))),
+# strongly unreduced bases: the nearest lattice points, direct and
+# reciprocal, lie far outside |n_i| <= 2 in them
+_SKEWED_BASES = [
+    ((1.0, 0.0), (2.6, 0.3)),
+    ((1.0, 0.0), (3.01, 0.05)),
+    ((1.0, 0.0), (1.7 * math.cos(math.radians(3)), 1.7 * math.sin(math.radians(3)))),
+    ((1.0, 0.0), (1.7 * math.cos(math.radians(5)), 1.7 * math.sin(math.radians(5)))),
 ]
+_SKEWED = [Lattice2D(*basis) for basis in _SKEWED_BASES]
 # coordinates of kpar in (b1, b2): zone centre, edge midpoints, the corners of
 # the square and triangular zones, and any point, each moved by a few b
 _FRACTIONS = st.one_of(st.sampled_from([0.0, 0.5, -0.5, 1 / 3, 2 / 3]), st.floats(-0.5, 0.5))
@@ -125,11 +125,66 @@ class TestReciprocalBasis:
             Lattice2D(a1, (0.0, 1.0))
 
 
+class TestReducedBasis:
+    """A lattice stores the Lagrange-Gauss reduced basis of the vectors given."""
+
+    @staticmethod
+    def _check_reduced(lat, basis):
+        (x1, y1), (x2, y2) = basis
+        # reduced to the rounding of a1 . a2
+        norms = (np.dot(lat.a1, lat.a1), np.dot(lat.a2, lat.a2))
+        assert abs(np.dot(lat.a1, lat.a2)) <= 0.5 * min(norms) + 1e-12 * math.sqrt(norms[0] * norms[1])
+        assert lat.cross == pytest.approx(x1 * y2 - y1 * x2, rel=1e-12)
+        # the same lattice: the stored vectors have integer coordinates in the
+        # given ones, and with the same cross product the converse holds too
+        m = np.linalg.solve(np.column_stack(basis), np.column_stack([lat.a1, lat.a2]))
+        assert np.abs(m - np.rint(m)).max() < 1e-9
+
+    def test_reduced_basis_kept_bit_for_bit(self):
+        bases = [((1.0, 0.0), (0.0, 1.0)), ((1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0))]
+        bases += [(sc.preset(name).a1, sc.preset(name).a2) for name in sorted(sc.PRESET_TEXT)]
+        for a1, a2 in bases:
+            lat = Lattice2D(a1, a2)
+            assert (lat.a1, lat.a2) == (a1, a2)
+
+    @pytest.mark.parametrize("basis", _SKEWED_BASES)
+    def test_skewed_basis_reduced(self, basis):
+        lat = Lattice2D(*basis)
+        assert (lat.a1, lat.a2) != basis
+        self._check_reduced(lat, basis)
+
+    @pytest.mark.parametrize(
+        "basis",
+        [
+            ((0.5, 1.25), (1.25, 0.5)),
+            ((2.0, 0.25), (0.25, 1.25)),
+            # the long vector projects onto the short one by a half-integer
+            # to rounding, at an aspect ratio of 1.8e4: without the stop on a
+            # step that shortens nothing, the loop would add and subtract the
+            # short vector forever
+            ((14525.455720597967, -11121.811888150638), (-0.6076979571890453, -0.7941682396244899)),
+        ],
+    )
+    def test_ties_terminate(self, basis):
+        self._check_reduced(Lattice2D(*basis), basis)
+
+    @pytest.mark.parametrize(
+        "a1, a2", [([1, 0], [0, 1]), (np.array([1.0, 0.0]), np.array([0.0, 1.0]))], ids=["list", "array"]
+    )
+    def test_lists_and_arrays_accepted(self, a1, a2):
+        # stored as float tuples, so the lattice hashes as the cached boxes need
+        lat = Lattice2D(a1, a2)
+        assert lat == SQUARE and hash(lat) == hash(SQUARE)
+        assert beam_set(lat, 1.0, (0.3, 0.1), VACUUM, 10.0).g_ints == beam_set(
+            SQUARE, 1.0, (0.3, 0.1), VACUUM, 10.0
+        ).g_ints
+
+
 class TestNearestDistance:
     @pytest.mark.parametrize("lat", [SQUARE, TRIANGULAR, *_SKEWED])
     def test_matches_brute_force(self, lat):
-        # every nonzero n1 a1 + n2 a2 with |n1|, |n2| <= 64; the shortest has
-        # |n_i| <= min(|a1|, |a2|) |b_i| / 2 pi, below 61 on these cells
+        # every nonzero n1 a1 + n2 a2 with |n1|, |n2| <= 64 in the basis the
+        # lattice stores; the shortest has |n_i| <= min(|a1|, |a2|) |b_i| / 2 pi
         r = np.arange(-64, 65)
         n1, n2 = (n.ravel() for n in np.meshgrid(r, r, indexing="ij"))
         v = n1[:, None] * np.array(lat.a1) + n2[:, None] * np.array(lat.a2)
@@ -163,8 +218,8 @@ class TestFoldToZone:
         # the least key (round(|v|^2, 12), n1, n2) over the window around the
         # rounded coordinates of kpar, found by a 2 x 2 solve.  The folded
         # point is no longer than the rounded one, so it moves that one by
-        # some |g| <= |b1| + |b2|: |n_i| <= (|b1| + |b2|) |a_i| / 2 pi.  A
-        # 7 x 7 window for the square lattice, 165 x 487 for a2 = (3.01, 0.05).
+        # some |g| <= |b1| + |b2|: |n_i| <= (|b1| + |b2|) |a_i| / 2 pi in the
+        # basis the lattice stores.  A 7 x 7 window for the square lattice.
         kpar = _kpar(lat, f1, f2, m1, m2)
         b1, b2 = reciprocal_basis(lat)
         n0 = -np.round(np.linalg.solve(np.column_stack([b1, b2]), kpar)).astype(int)
@@ -219,13 +274,17 @@ class TestBeamSet:
         assert np.array_equal(beams.kz, kz)
 
     def test_skewed_cell_keeps_every_beam(self):
-        # at a cell angle of 11 degrees, a box of 2 (cutoff + |kf|) / min |b|
-        # misses the beams (5, 6) and (-5, -6); beam_set bounds its box by
-        # |n_i| = |g . a_i| / 2 pi <= (cutoff + |kf|) |a_i| / 2 pi instead
-        lat = Lattice2D((0.5, 0.5), (0.5, 0.75))
+        # named by a basis at a cell angle of 11 degrees, a box of
+        # 2 (cutoff + |kf|) / min |b| in it misses the beams +-(5 b1 + 6 b2)
+        a1, a2 = (0.5, 0.5), (0.5, 0.75)
+        lat = Lattice2D(a1, a2)
         beams = beam_set(lat, 1.0, (0.0, 0.0), VACUUM, 50.0)
         g_ints, kt, kz = _beam_set_loop(lat, 1.0, (0.0, 0.0), VACUUM, 50.0, nbox=40)
-        assert {(5, 6), (-5, -6)} <= set(beams.g_ints)
+        c = a1[0] * a2[1] - a1[1] * a2[0]
+        b1 = 2 * math.pi / c * np.array([a2[1], -a2[0]])
+        b2 = 2 * math.pi / c * np.array([-a1[1], a1[0]])
+        for g in (5 * b1 + 6 * b2, -(5 * b1 + 6 * b2)):
+            assert np.abs(beams.kt - (np.array(beams.kpar) + g)).max(axis=1).min() < 1e-9
         assert beams.g_ints == g_ints
         assert np.array_equal(beams.kt, kt)
         assert np.array_equal(beams.kz, kz)
@@ -334,6 +393,16 @@ class TestLatticeSums:
         with pytest.raises(ConvergenceError, match="Wood anomaly") as exc:
             lattice_sums_ewald(SQUARE, 2 * math.pi, (0.0, 0.0), 4)
         assert exc.value.diagnostics["g"] in {(-1, 0), (1, 0), (0, -1), (0, 1)}
+
+    def test_named_basis_does_not_matter(self):
+        # the sums depend on the lattice, not on the basis naming it; square
+        # shells of the unreduced first basis would stop early, 1.00 apart
+        k, kpar = 2.0, (0.3, 0.1)
+        a = lattice_sums_ewald(Lattice2D((1.0, 0.0), (3.01, 0.05)), k, kpar, 4)
+        b = lattice_sums_ewald(Lattice2D((0.96, -0.2), (0.01, 0.05)), k, kpar, 4)
+        assert set(a) == set(b)
+        scale = max(abs(v) for v in b.values())
+        assert max(abs(a[key] - b[key]) for key in b) <= 1e-12 * scale
 
     def test_triangular_lossy_vs_direct(self):
         k = 1.4 + 0.5j

@@ -404,7 +404,7 @@ class TestWalkSteps:
 class TestLatticeBasis:
     """R, T and A of a sphere plane depend on its lattice, not on the basis naming it."""
 
-    @pytest.mark.parametrize("m", [-2, -1, 1, 2, 3])
+    @pytest.mark.parametrize("m", [-2, -1, 1, 2, 3, 7, 10])
     def test_triangular_basis_invariance(self, m):
         (x1, y1), (x2, y2) = TRIANGULAR.a1, TRIANGULAR.a2
         sheared = Lattice2D((x1, y1), (x2 + m * x1, y2 + m * y1))
